@@ -1,8 +1,8 @@
 //! Criterion benches for the `asv-serve` orchestration layer.
 //!
-//! * `serve_batch64_portfolio` — end-to-end throughput of a batch of 64
-//!   mixed-archetype jobs (goldens and injected mutants across all 12
-//!   datagen archetypes) through the portfolio service with all cores;
+//! * `serve_batch64_auto` — end-to-end throughput of a batch of 64
+//!   mixed-archetype `Engine::Auto` jobs (goldens and injected mutants
+//!   across all 12 datagen archetypes) through the service with all cores;
 //!   memoisation is disabled so every iteration pays for real
 //!   verification. Jobs/sec = 64 / (reported time).
 //! * `serve_batch64_sequential_auto` — the same 64 jobs through a plain
@@ -44,20 +44,20 @@ impl Drop for ScratchDir {
     }
 }
 
-fn bounds(engine: Engine) -> Verifier {
+fn bounds() -> Verifier {
     Verifier {
         depth: 8,
         reset_cycles: 2,
         exhaustive_limit: 256,
         random_runs: 24,
-        engine,
+        engine: Engine::Auto,
         ..Verifier::default()
     }
 }
 
 /// 64 jobs cycling golden + first-compilable-mutant designs over all 12
 /// archetypes.
-fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
+fn mixed_batch() -> Vec<VerifyJob> {
     let designs = CorpusGen::new(0x5E27E).generate(2 * Archetype::ALL.len());
     let mut pool: Vec<std::sync::Arc<asv_verilog::Design>> = Vec::new();
     for gd in &designs {
@@ -71,21 +71,20 @@ fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
         pool.push(std::sync::Arc::new(golden));
     }
     (0..64)
-        .map(|i| VerifyJob::new(std::sync::Arc::clone(&pool[i % pool.len()]), bounds(engine)))
+        .map(|i| VerifyJob::new(std::sync::Arc::clone(&pool[i % pool.len()]), bounds()))
         .collect()
 }
 
 fn bench_serve(c: &mut Criterion) {
-    let portfolio_jobs = mixed_batch(Engine::Portfolio);
-    let auto_jobs = mixed_batch(Engine::Auto);
+    let auto_jobs = mixed_batch();
 
-    c.bench_function("serve_batch64_portfolio", |b| {
+    c.bench_function("serve_batch64_auto", |b| {
         let service = VerifyService::new(ServeOptions {
             workers: 0,
             memoize: false,
             ..ServeOptions::default()
         });
-        b.iter(|| service.verify_batch(black_box(&portfolio_jobs)).len())
+        b.iter(|| service.verify_batch(black_box(&auto_jobs)).len())
     });
 
     c.bench_function("serve_batch64_sequential_auto", |b| {
@@ -99,10 +98,10 @@ fn bench_serve(c: &mut Criterion) {
 
     // Warm the memo once, then measure pure re-verification.
     let memoized = VerifyService::new(ServeOptions::default());
-    let cold = memoized.verify_batch(&portfolio_jobs);
+    let cold = memoized.verify_batch(&auto_jobs);
     assert_eq!(cold.len(), 64);
     c.bench_function("serve_memoized_reverify", |b| {
-        b.iter(|| memoized.verify_batch(black_box(&portfolio_jobs)).len())
+        b.iter(|| memoized.verify_batch(black_box(&auto_jobs)).len())
     });
     assert_eq!(
         memoized.stats().executed,

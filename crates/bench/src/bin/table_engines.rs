@@ -13,14 +13,12 @@
 //!   the fuzzer's dictionary + corpus search finds them (asserted below,
 //!   so CI enforces the claim).
 //!
-//! After the per-scenario table, a **portfolio column** and a
-//! **mixed-batch service comparison** run: `Engine::Portfolio` must be
-//! bit-identical to `Engine::Auto` on every scenario (it never reports a
-//! different verdict than the best single engine — Auto *is* the best
-//! single-engine chain per scenario), and a cache-cold batch of 64
-//! mixed-archetype jobs through the `asv-serve` worker pool must beat
-//! the sequential Auto loop by ≥ 2× wall-clock (asserted when ≥ 4 cores
-//! are available), with memoised re-verification answering in O(hash).
+//! After the per-scenario table, a **mixed-batch service comparison**
+//! runs: a cache-cold batch of 64 mixed-archetype `Engine::Auto` jobs
+//! through the `asv-serve` worker pool must return verdicts bit-identical
+//! to the sequential Auto loop and beat it by ≥ 2× wall-clock (asserted
+//! when ≥ 4 cores are available), with memoised re-verification
+//! answering in O(hash).
 //!
 //! Run with `cargo run --release -p asv-bench --bin table_engines`.
 
@@ -220,18 +218,10 @@ fn main() {
     let mut rare_out_of_subset = 0usize;
     for sc in scenarios() {
         let design = asv_verilog::compile(&sc.src).expect("scenario compiles");
-        let auto_verdict = Verifier {
-            depth: 8,
-            random_runs: budget,
-            engine: Engine::Auto,
-            ..Verifier::default()
-        }
-        .check(&design);
         for (engine, label) in [
             (Engine::Simulation, "sampling"),
             (Engine::Symbolic, "symbolic"),
             (Engine::Fuzz, "fuzz"),
-            (Engine::Portfolio, "portfolio"),
         ] {
             let verifier = Verifier {
                 depth: 8,
@@ -270,24 +260,6 @@ fn main() {
                     Engine::Simulation => sampling_found += usize::from(found),
                     _ => {}
                 }
-            }
-            // The portfolio must never report a different verdict than
-            // the best single engine: Auto is exactly the
-            // best-single-engine chain (symbolic in subset, fuzz beyond
-            // it on these non-enumerable input spaces), and the
-            // portfolio's contract is bit-identity with Auto.
-            if engine == Engine::Portfolio {
-                assert_eq!(
-                    verdict, auto_verdict,
-                    "{}: portfolio diverged from Engine::Auto",
-                    sc.name
-                );
-                assert!(
-                    correct,
-                    "{}: portfolio must land on the ground truth wherever \
-                     the best single engine does",
-                    sc.name
-                );
             }
             // In-subset scenarios: the symbolic engine must land on the
             // ground truth; out-of-subset ones must be rejected, not
@@ -441,9 +413,10 @@ fn optimizing_ir_table() {
     );
 }
 
-/// 64 jobs cycling golden + first-compilable-mutant designs over all 12
-/// datagen archetypes (the serve_throughput bench uses the same shape).
-fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
+/// 64 `Engine::Auto` jobs cycling golden + first-compilable-mutant
+/// designs over all 12 datagen archetypes (the serve_throughput bench
+/// uses the same shape).
+fn mixed_batch() -> Vec<VerifyJob> {
     let designs = CorpusGen::new(0x5E27E).generate(2 * Archetype::ALL.len());
     let mut pool: Vec<std::sync::Arc<asv_verilog::Design>> = Vec::new();
     for gd in &designs {
@@ -461,7 +434,7 @@ fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
         reset_cycles: 2,
         exhaustive_limit: 256,
         random_runs: 24,
-        engine,
+        engine: Engine::Auto,
         ..Verifier::default()
     };
     (0..64)
@@ -469,11 +442,11 @@ fn mixed_batch(engine: Engine) -> Vec<VerifyJob> {
         .collect()
 }
 
-/// Cache-cold wall-clock: sequential `Engine::Auto` loop vs the
-/// portfolio service across all cores, verdicts asserted bit-identical.
+/// Cache-cold wall-clock: sequential `Engine::Auto` loop vs the same
+/// jobs through the service across all cores, verdicts asserted
+/// bit-identical.
 fn mixed_batch_comparison() {
-    let auto_jobs = mixed_batch(Engine::Auto);
-    let portfolio_jobs = mixed_batch(Engine::Portfolio);
+    let jobs = mixed_batch();
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Cache-cold timings, best of two rounds per leg: one slow round on
@@ -490,7 +463,7 @@ fn mixed_batch_comparison() {
     for _ in 0..2 {
         asv_sim::cache::global().clear();
         let t0 = Instant::now();
-        sequential = auto_jobs
+        sequential = jobs
             .iter()
             .map(|j| {
                 j.verifier
@@ -502,26 +475,26 @@ fn mixed_batch_comparison() {
 
         asv_sim::cache::global().clear();
         let t0 = Instant::now();
-        batched = service.verify_batch(&portfolio_jobs);
+        batched = service.verify_batch(&jobs);
         t_par = t_par.min(t0.elapsed());
     }
 
     assert_eq!(
         batched, sequential,
-        "portfolio service verdicts must be bit-identical to sequential Auto"
+        "service verdicts must be bit-identical to sequential Auto"
     );
 
     // Warm re-verification: O(hash) per job, no engine runs. (A separate
     // memoising service — the timing service above is deliberately
     // memo-free.)
     let memo_service = VerifyService::new(ServeOptions::default());
-    let prime = memo_service.verify_batch(&portfolio_jobs);
+    let prime = memo_service.verify_batch(&jobs);
     assert_eq!(prime, sequential);
     let executed_cold = memo_service.stats().executed;
     let mut t_warm = Duration::MAX;
     for _ in 0..2 {
         let t0 = Instant::now();
-        let warm = memo_service.verify_batch(&portfolio_jobs);
+        let warm = memo_service.verify_batch(&jobs);
         t_warm = t_warm.min(t0.elapsed());
         assert_eq!(warm, sequential);
     }
@@ -535,7 +508,7 @@ fn mixed_batch_comparison() {
     let memo_speedup = t_seq.as_secs_f64() / t_warm.as_secs_f64().max(1e-9);
     println!(
         "\nmixed batch of 64 archetype jobs ({workers} workers): sequential Auto {t_seq:.1?}, \
-         portfolio service {t_par:.1?} ({speedup:.1}x), memoised re-verify {t_warm:.1?} \
+         Auto service {t_par:.1?} ({speedup:.1}x), memoised re-verify {t_warm:.1?} \
          ({memo_speedup:.0}x)"
     );
     assert!(
@@ -545,7 +518,7 @@ fn mixed_batch_comparison() {
     if workers >= 4 {
         assert!(
             speedup >= 2.0,
-            "portfolio service must be ≥ 2x faster than the sequential loop \
+            "Auto service must be ≥ 2x faster than the sequential loop \
              on the cache-cold mixed batch (got {speedup:.2}x with {workers} workers)"
         );
     } else {

@@ -12,11 +12,10 @@
 //!   **exact equality**: any drift is either a real cost change or a
 //!   determinism break, and both deserve a red build.
 //!
-//! Determinism caveats the matrix is built around (see
-//! `asv_trace::cost` module docs): the counter legs pre-warm the
-//! process-wide compile cache before concurrent serving (racing workers
-//! may otherwise both compile the same design), and the mixed batch
-//! never uses `Engine::Portfolio` (loser-rung work is timing-dependent).
+//! Determinism caveat the matrix is built around (see `asv_trace::cost`
+//! module docs): the counter legs pre-warm the process-wide compile
+//! cache before concurrent serving (racing workers may otherwise both
+//! compile the same design).
 //!
 //! No serde in this workspace, so [`json`] is a ~150-line hand-rolled
 //! parser covering exactly the JSON this module emits.
@@ -594,11 +593,7 @@ pub fn bench_verifier(engine: Engine) -> Verifier {
 }
 
 /// The serve workload: a mixed batch over golden + buggy designs with
-/// engines rotating through `Auto`/`Symbolic`/`Simulation`/`Fuzz`.
-///
-/// `Engine::Portfolio` is deliberately excluded: the portfolio's losing
-/// rungs do timing-dependent amounts of work before cancellation, which
-/// would break the counters' bit-identical-across-workers contract.
+/// engines rotating through every [`Engine`].
 pub fn mixed_batch(quick: bool) -> Vec<VerifyJob> {
     let pool = design_pool(quick).pool;
     let engines = [
@@ -828,7 +823,6 @@ fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
         reset_cycles: 2,
         budget: 128,
         seed: 0xF422,
-        threads: 1,
         lanes: 16,
         ..FuzzOptions::default()
     };

@@ -1,15 +1,15 @@
 //! The coverage-guided fuzzing loop.
 //!
-//! Rounds alternate between a sequential, seeded *scheduler* (parent
-//! selection, mutation, dedup — cheap) and a parallel *executor* (the
-//! simulations — the cost). Batch results are merged in stimulus-index
-//! order, failures and errors compete on the lowest index, and the corpus
-//! is updated sequentially, so a campaign is a pure function of
-//! `(design, options)` — the thread count changes wall time only.
+//! Rounds alternate between a seeded *scheduler* (parent selection,
+//! mutation, dedup — cheap) and a lane-batched *executor* (the
+//! simulations — the cost). Round results are merged in stimulus-index
+//! order up to the first failure or error, and the corpus is updated in
+//! that order, so a campaign is a pure function of `(design, options)`.
+//! The lane width changes wall time only.
 
 use crate::corpus::Corpus;
 use crate::mutate::Mutator;
-use asv_sim::cancel::{Budget, CancelToken, Exhausted, Stop};
+use asv_sim::cancel::{Budget, Exhausted, Stop};
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::{CovMap, CoverageReport};
 use asv_sim::exec::{SimError, Simulator};
@@ -52,8 +52,6 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Executions scheduled per round (scheduling granularity).
     pub batch: usize,
-    /// Worker threads; 0 means `std::thread::available_parallelism`.
-    pub threads: usize,
     /// Simulation lanes per bytecode pass (`asv_sim::LaneBatch`
     /// widths 8/16/32; anything else — including 1, the differential
     /// configuration — drains through the scalar executor). Results are
@@ -69,7 +67,6 @@ impl Default for FuzzOptions {
             budget: 256,
             seed: 0xF0_77E12,
             batch: 16,
-            threads: 0,
             lanes: 16,
         }
     }
@@ -118,8 +115,8 @@ pub enum FuzzError {
     /// A failing stimulus did not replay bit-identically on the
     /// interpreter oracle — a simulator bug, never a design property.
     OracleDivergence,
-    /// The campaign's [`CancelToken`] was poisoned (this engine lost a
-    /// portfolio race); no verdict, never a wrong one.
+    /// The campaign's [`asv_sim::CancelToken`] was poisoned (the caller
+    /// tore the work down); no verdict, never a wrong one.
     Cancelled,
     /// A [`Budget`] resource (deadline, fuzz-round cap) ran out before a
     /// verdict.
@@ -191,59 +188,26 @@ fn replay_on_interpreter(compiled: &Arc<CompiledDesign>, stim: &Stimulus) -> Res
 /// assertion failed.
 type RunOutcome = Result<(CovMap, bool), FuzzError>;
 
-/// Executes `batch` across worker threads, returning per-stimulus results
-/// in index order. Workers stop their chunk at the first failure or
-/// error — later indices in the same chunk cannot win the merge.
+/// Executes one round's `batch` in lane groups, returning per-stimulus
+/// results in index order up to and including the first failure or
+/// error — later results could never be merged.
 fn run_batch<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
     batch: &[Stimulus],
-    threads: usize,
-    lanes: usize,
-    budget: &Budget,
-) -> (usize, Vec<Vec<RunOutcome>>) {
-    let workers = threads.min(batch.len()).max(1);
-    let chunk = batch.len().div_ceil(workers);
-    if workers == 1 {
-        return (
-            chunk,
-            vec![run_chunk(compiled, oracle, batch, lanes, budget)],
-        );
-    }
-    let mut per_chunk = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for part in batch.chunks(chunk) {
-            handles.push(scope.spawn(move || run_chunk(compiled, oracle, part, lanes, budget)));
-        }
-        for h in handles {
-            per_chunk.push(h.join().expect("fuzz worker panicked"));
-        }
-    });
-    (chunk, per_chunk)
-}
-
-fn run_chunk<O: AssertionOracle>(
-    compiled: &Arc<CompiledDesign>,
-    oracle: &O,
-    part: &[Stimulus],
     lanes: usize,
     budget: &Budget,
 ) -> Vec<RunOutcome> {
-    let mut out = Vec::with_capacity(part.len());
-    for group in part.chunks(lanes.max(1)) {
-        // Per-group poll: a losing portfolio campaign cancelled
-        // mid-batch stops before the next lane group instead of
-        // finishing the whole chunk. In fault-free unbounded runs this
-        // never fires, so the merge stays bit-identical.
+    let mut out = Vec::with_capacity(batch.len());
+    for group in batch.chunks(lanes.max(1)) {
+        // Per-group poll: a campaign cancelled mid-round stops before the
+        // next lane group instead of finishing the round. In fault-free
+        // unbounded runs this never fires, so the merge stays
+        // bit-identical.
         if let Err(stop) = budget.check() {
             out.push(Err(stop.into()));
             return out;
         }
-        // The whole group simulates together; results are still judged
-        // and reported in index order, and everything after the chunk's
-        // first failure/error is dropped — exactly what the scalar loop
-        // produced, since the round merge discards post-stop results.
         for outcome in run_stimulus_group(compiled, group, lanes, Some(oracle.assertions()), false)
         {
             let r = match outcome {
@@ -263,7 +227,7 @@ fn run_chunk<O: AssertionOracle>(
 /// Runs a coverage-guided fuzzing campaign against `compiled`.
 ///
 /// Deterministic from [`FuzzOptions::seed`] regardless of
-/// [`FuzzOptions::threads`]. A found failure is always replayed on the
+/// [`FuzzOptions::lanes`]. A found failure is always replayed on the
 /// [`AstSimulator`] interpreter oracle before it is reported.
 ///
 /// # Errors
@@ -279,34 +243,17 @@ pub fn fuzz<O: AssertionOracle>(
     fuzz_budgeted(compiled, oracle, opts, &Budget::unbounded())
 }
 
-/// [`fuzz`] with a cooperative [`CancelToken`] polled at the top of every
-/// campaign round (the scheduling granularity, [`FuzzOptions::batch`]
-/// executions): once the token is poisoned the campaign returns
-/// [`FuzzError::Cancelled`] within one round. Used by the portfolio racer
-/// so a losing fuzzing campaign stops promptly.
-///
-/// # Errors
-///
-/// As [`fuzz`], plus [`FuzzError::Cancelled`].
-pub fn fuzz_cancellable<O: AssertionOracle>(
-    compiled: &Arc<CompiledDesign>,
-    oracle: &O,
-    opts: &FuzzOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<FuzzResult, FuzzError> {
-    fuzz_budgeted(compiled, oracle, opts, &Budget::from_cancel(cancel))
-}
-
 /// [`fuzz`] under a full resource [`Budget`]: the round loop polls the
 /// budget (token, deadline, fault probes) before every round and honours
-/// the fuzz-round cap; workers additionally poll the token before each
-/// stimulus so a cancelled campaign stops mid-batch.
+/// the fuzz-round cap; the executor additionally polls token and
+/// deadline before each lane group so a cancelled campaign stops
+/// mid-round.
 ///
 /// # Errors
 ///
-/// As [`fuzz_cancellable`], plus a structured [`FuzzError::Exhausted`]
-/// whenever a budget dimension runs out before the campaign's own
-/// stimulus budget.
+/// As [`fuzz`], plus [`FuzzError::Cancelled`] for a poisoned token and a
+/// structured [`FuzzError::Exhausted`] whenever a budget dimension runs
+/// out before the campaign's own stimulus budget.
 pub fn fuzz_budgeted<O: AssertionOracle>(
     compiled: &Arc<CompiledDesign>,
     oracle: &O,
@@ -318,11 +265,6 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut corpus = Corpus::new();
     let mut coverage = CovMap::new(compiled, oracle.assertions());
-    let threads = if opts.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        opts.threads
-    };
     let batch_size = opts.batch.max(1);
     let mut runs = 0usize;
     let mut rounds = 0u64;
@@ -331,7 +273,7 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
     let sink = budget.trace().clone();
     'campaign: while runs < opts.budget {
         // Poll before scheduling the round, not only inside it, so a
-        // loser cancelled between rounds never starts another batch.
+        // campaign cancelled between rounds never starts another batch.
         budget.check_fuzz_rounds(rounds)?;
         budget.probe(probe::FUZZ_ROUND)?;
         rounds += 1;
@@ -346,11 +288,9 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
         let n = batch_size.min(opts.budget - runs);
         let batch = schedule(&gen, &mutator, &mut corpus, &mut rng, n, opts);
         if opts.lanes > 1 {
-            // Lane occupancy on a *scheduled* basis (the canonical
-            // single-worker grouping), emitted here at the sequential
-            // point — worker chunking changes the realised grouping but
-            // never this counter, keeping the cost vector bit-identical
-            // across thread counts.
+            // Lane occupancy on a *scheduled* basis: the whole round's
+            // grouping, emitted before it runs, so a round cut short by a
+            // failure still reports the same counter.
             let batches = (batch.len().div_ceil(opts.lanes)) as u64;
             sink.instant(
                 probe::SIM_BATCH,
@@ -364,29 +304,25 @@ pub fn fuzz_budgeted<O: AssertionOracle>(
                 },
             );
         }
-        let (chunk_size, per_chunk) =
-            run_batch(compiled, oracle, &batch, threads, opts.lanes, budget);
-        for (c, chunk) in per_chunk.into_iter().enumerate() {
-            for (j, result) in chunk.into_iter().enumerate() {
-                let (cov, failed) = result?;
-                let new_points = coverage.merge(&cov);
-                let stim = &batch[c * chunk_size + j];
-                runs += 1;
-                round_span.add_cost(Cost {
-                    stimuli: 1,
-                    ..Cost::default()
-                });
-                if failed {
-                    replay_on_interpreter(compiled, stim)?;
-                    verdict = FuzzVerdict::Failure {
-                        stimulus: stim.clone(),
-                        run_index: runs - 1,
-                    };
-                    break 'campaign;
-                }
-                if new_points > 0 {
-                    corpus.add(stim.clone(), new_points);
-                }
+        let results = run_batch(compiled, oracle, &batch, opts.lanes, budget);
+        for (stim, result) in batch.iter().zip(results) {
+            let (cov, failed) = result?;
+            let new_points = coverage.merge(&cov);
+            runs += 1;
+            round_span.add_cost(Cost {
+                stimuli: 1,
+                ..Cost::default()
+            });
+            if failed {
+                replay_on_interpreter(compiled, stim)?;
+                verdict = FuzzVerdict::Failure {
+                    stimulus: stim.clone(),
+                    run_index: runs - 1,
+                };
+                break 'campaign;
+            }
+            if new_points > 0 {
+                corpus.add(stim.clone(), new_points);
             }
         }
     }
@@ -539,30 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn campaign_is_deterministic_across_thread_counts() {
-        let cd = compiled(RARE);
-        let oracle = rare_oracle(&cd);
-        let base = FuzzOptions {
-            budget: 96,
-            seed: 3,
-            ..FuzzOptions::default()
-        };
-        let one = fuzz(&cd, &oracle, &FuzzOptions { threads: 1, ..base }).expect("t1");
-        let four = fuzz(&cd, &oracle, &FuzzOptions { threads: 4, ..base }).expect("t4");
-        assert_eq!(one.verdict, four.verdict);
-        assert_eq!(one.runs, four.runs);
-        assert_eq!(one.coverage, four.coverage);
-        assert_eq!(one.corpus_fingerprint, four.corpus_fingerprint);
-    }
-
-    #[test]
     fn campaign_is_deterministic_across_lane_widths() {
         let cd = compiled(RARE);
         let oracle = rare_oracle(&cd);
         let base = FuzzOptions {
             budget: 96,
             seed: 3,
-            threads: 2,
             ..FuzzOptions::default()
         };
         let scalar = fuzz(&cd, &oracle, &FuzzOptions { lanes: 1, ..base }).expect("scalar");
@@ -583,28 +501,29 @@ mod tests {
     fn poisoned_token_stops_the_campaign_promptly() {
         let cd = compiled(RARE);
         let oracle = rare_oracle(&cd);
-        let token = CancelToken::new();
+        let token = asv_sim::CancelToken::new();
         token.cancel();
+        let poisoned = Budget::unbounded().with_cancel(token);
         let opts = FuzzOptions {
             budget: 1 << 20, // far more than a test could ever run
             seed: 5,
             ..FuzzOptions::default()
         };
         let start = std::time::Instant::now();
-        let res = fuzz_cancellable(&cd, &oracle, &opts, Some(&token));
+        let res = fuzz_budgeted(&cd, &oracle, &opts, &poisoned);
         assert!(matches!(res, Err(FuzzError::Cancelled)), "got {res:?}");
         assert!(
             start.elapsed() < std::time::Duration::from_secs(5),
             "cancellation must stop the campaign within one round"
         );
         // An un-poisoned token changes nothing.
-        let live = CancelToken::new();
+        let live = Budget::unbounded().with_cancel(asv_sim::CancelToken::new());
         let small = FuzzOptions {
             budget: 32,
             seed: 5,
             ..FuzzOptions::default()
         };
-        let a = fuzz_cancellable(&cd, &oracle, &small, Some(&live)).expect("runs");
+        let a = fuzz_budgeted(&cd, &oracle, &small, &live).expect("runs");
         let b = fuzz(&cd, &oracle, &small).expect("runs");
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.corpus_fingerprint, b.corpus_fingerprint);

@@ -21,9 +21,9 @@
 //!   compiled bytecode — the AFL dictionary trick that cracks
 //!   `a == 8'hA5`-style triggers), cycle splice/duplicate/truncate and
 //!   two-parent crossover;
-//! * batches execute in parallel across threads, merged in stimulus-index
-//!   order, so the result is deterministic from a single seed regardless
-//!   of thread count;
+//! * each round's batch executes in lane-batched groups on the calling
+//!   thread, merged in stimulus-index order, so the result is
+//!   deterministic from a single seed regardless of lane width;
 //! * every failure is replayed on the `AstSimulator` interpreter oracle
 //!   before it is reported.
 //!
@@ -37,7 +37,7 @@ pub mod mutate;
 
 pub use corpus::{Corpus, CorpusEntry};
 pub use engine::{
-    fuzz, fuzz_budgeted, fuzz_cancellable, novelty_rank, AssertionOracle, FuzzError, FuzzOptions,
-    FuzzResult, FuzzVerdict,
+    fuzz, fuzz_budgeted, novelty_rank, AssertionOracle, FuzzError, FuzzOptions, FuzzResult,
+    FuzzVerdict,
 };
 pub use mutate::{design_dictionary, Mutator};

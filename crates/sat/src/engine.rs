@@ -21,7 +21,7 @@ use crate::aig::{Aig, NLit, Node};
 use crate::blast::{run_sym, BlastError, SymEnv, SymVec};
 use crate::solver::{Lit, SolveResult, Solver, Var};
 use crate::unroll::{clock_edge_sym, settle_sym, SymState};
-use asv_sim::cancel::{Budget, CancelToken, Exhausted, Resource, Stop};
+use asv_sim::cancel::{Budget, Exhausted, Resource, Stop};
 use asv_sim::compile::{compile_expr, CompiledDesign, ExprProg, HistoryKind, NameRef, SigId};
 use asv_sim::stimulus::{InputVector, Stimulus};
 use asv_sim::value::Value;
@@ -89,8 +89,9 @@ pub enum BmcError {
     /// A resource budget (conflicts, AIG nodes, deadline) was exhausted;
     /// the structured record says which and by how much.
     Exhausted(Exhausted),
-    /// A cooperative [`CancelToken`] was poisoned mid-check (this engine
-    /// lost a portfolio race); the verdict is simply absent, never wrong.
+    /// A cooperative [`asv_sim::CancelToken`] was poisoned mid-check
+    /// (the caller tore the work down); the verdict is simply absent,
+    /// never wrong.
     Cancelled,
 }
 
@@ -640,8 +641,8 @@ impl<'a> Engine<'a> {
     /// the instance stays satisfiable, else fixed to 1. The result
     /// depends only on the set of violating input sequences — not on the
     /// CNF's shape, variable numbering or VSIDS history — so the witness
-    /// is identical across opt levels, engine revisions and portfolio
-    /// runs, and the differential suites can compare counterexamples
+    /// is identical across opt levels, engine revisions and worker
+    /// counts, and the differential suites can compare counterexamples
     /// bit-for-bit.
     ///
     /// Minimisation probes run under their own small conflict budget
@@ -755,7 +756,7 @@ impl<'a> Engine<'a> {
         let trace = self.budget.trace().clone();
         for len in 1..=max_len {
             // Poll before starting the depth, not just inside it: a
-            // portfolio loser cancelled between depths stops here
+            // check cancelled between depths stops here
             // immediately instead of burning a full check interval.
             self.budget.probe(probe::SAT_DEPTH)?;
             let mut blast = trace.span(probe::SAT_BLAST, SpanKind::AigBlast);
@@ -891,32 +892,18 @@ pub fn check(cd: &CompiledDesign, opts: BmcOptions) -> Result<BmcVerdict, BmcErr
     check_budgeted(cd, opts, &Budget::unbounded())
 }
 
-/// [`check`] with a cooperative [`CancelToken`] threaded into the CDCL
-/// search loop and the per-depth unrolling loop: once the token is
-/// poisoned the engine returns [`BmcError::Cancelled`] within one
-/// [`crate::solver::CANCEL_CHECK_INTERVAL`] of solver work. Used by the
-/// portfolio racer so a losing symbolic check stops promptly.
-///
-/// # Errors
-///
-/// As [`check`], plus [`BmcError::Cancelled`].
-pub fn check_cancellable(
-    cd: &CompiledDesign,
-    opts: BmcOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<BmcVerdict, BmcError> {
-    check_budgeted(cd, opts, &Budget::from_cancel(cancel))
-}
-
 /// [`check`] under a full resource [`Budget`]: the deadline and conflict
 /// cap are threaded into the CDCL inner loop, the AIG node cap tightens
 /// `BmcOptions::node_limit`, and the per-depth loop polls the budget (and
-/// its fault probes) before each unrolling step.
+/// its fault probes) before each unrolling step. A poisoned
+/// [`asv_sim::CancelToken`] stops the search within one
+/// [`crate::solver::CANCEL_CHECK_INTERVAL`] of solver work.
 ///
 /// # Errors
 ///
-/// As [`check_cancellable`], plus a structured [`BmcError::Exhausted`]
-/// whenever any budget dimension runs out.
+/// As [`check`], plus [`BmcError::Cancelled`] for a poisoned token and a
+/// structured [`BmcError::Exhausted`] whenever any budget dimension runs
+/// out.
 pub fn check_budgeted(
     cd: &CompiledDesign,
     opts: BmcOptions,
@@ -1017,7 +1004,8 @@ pub fn unroll_stats(cd: &CompiledDesign, opts: BmcOptions) -> Result<UnrollStats
 /// property — the frame is driven with free symbolic inputs (no reset
 /// prefix), so every operator the full unrolling would blast is
 /// exercised once, without paying for SAT solving or deep unrolling. The
-/// portfolio mode uses this to pick its canonical engine up front.
+/// service's persistent store uses this to decide whether an `Auto`
+/// verdict is key-pure.
 ///
 /// # Errors
 ///
@@ -1283,16 +1271,16 @@ endmodule
     #[test]
     fn poisoned_token_cancels_the_check_without_panicking() {
         let cd = compiled(GOOD);
-        let token = CancelToken::new();
+        let token = asv_sim::CancelToken::new();
         token.cancel();
-        let verdict = check_cancellable(
+        let verdict = check_budgeted(
             &cd,
             BmcOptions {
                 depth: 6,
                 reset_cycles: 2,
                 ..BmcOptions::default()
             },
-            Some(&token),
+            &Budget::unbounded().with_cancel(token),
         );
         assert_eq!(verdict, Err(BmcError::Cancelled));
     }

@@ -32,7 +32,7 @@ pub enum VerdictError {
     /// The job's cancellation token was poisoned before a verdict.
     Cancelled,
     /// The job ran out of a budgeted resource in a forced single-engine
-    /// mode (auto/portfolio jobs degrade to
+    /// mode (auto jobs degrade to
     /// [`Verdict::Inconclusive`](asv_sva::bmc::Verdict) instead).
     Exhausted(Exhausted),
 }
@@ -61,9 +61,8 @@ impl From<VerifyError> for VerdictError {
 }
 
 /// One unit of verification work: a design plus the bounds and engine to
-/// check it with. The `verifier.engine` field is the job's mode —
-/// `Engine::Portfolio` races engines per job, any other engine runs
-/// sequentially inside the worker.
+/// check it with. The `verifier.engine` field is the job's mode; every
+/// engine runs single-threaded inside the worker that claims the job.
 ///
 /// The design is held behind an [`Arc`] so building a job from an
 /// already-shared design (or cloning a job) never deep-copies the AST.

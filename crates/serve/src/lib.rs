@@ -19,7 +19,9 @@
 //!   the rest of the batch) and results are collected in
 //!   submission-index order, making the returned verdict vector
 //!   *deterministic in the batch alone* — worker count changes wall
-//!   time, never output.
+//!   time, never output. The pool is the only scheduler on the verify
+//!   path: each job runs single-threaded (engines batch stimuli across
+//!   simulation lanes, not threads).
 //! * **[`VerdictCache`]** — a sharded memo of finished verdicts. Repeat
 //!   jobs — which dominate repair evaluation, where 20 candidate repairs
 //!   share one design and candidates repeat across samples — are
@@ -27,22 +29,17 @@
 //!   are additionally shared process-wide through the sharded
 //!   [`asv_sim::cache`], so a design submitted under several engines or
 //!   budgets is lowered once.
-//! * **Portfolio racing** — jobs submitted with
-//!   [`Engine::Portfolio`](asv_sva::bmc::Engine) race symbolic BMC
-//!   against bounded enumeration/fuzzing per job with cooperative
-//!   [`CancelToken`](asv_sim::cancel::CancelToken)s; first decisive
-//!   verdict wins and losers stop within one check interval. Verdicts
-//!   stay bit-identical to sequential `Engine::Auto` (see
-//!   `asv_sva::bmc` for the canonical-verdict rule).
 //! * **Fault tolerance** — each job runs under its own
 //!   [`Budget`](asv_sim::cancel::Budget) (deadline, SAT-conflict /
 //!   fuzz-round / AIG-node caps from [`ServeOptions`]) behind a
 //!   `catch_unwind` barrier: a job that panics, exhausts its budget or
-//!   is cancelled yields a [`VerdictError`] in its own slot while its
-//!   batch siblings finish normally. Only deterministic outcomes are
-//!   memoised, so degraded runs never poison the verdict cache, and the
-//!   whole schedule is reproducible under the seeded fault-injection
-//!   plans of the `fault-inject` feature (see `asv_sim::fault`).
+//!   is cancelled (through a
+//!   [`CancelToken`](asv_sim::cancel::CancelToken)) yields a
+//!   [`VerdictError`] in its own slot while its batch siblings finish
+//!   normally. Only deterministic outcomes are memoised, so degraded
+//!   runs never poison the verdict cache, and the whole schedule is
+//!   reproducible under the seeded fault-injection plans of the
+//!   `fault-inject` feature (see `asv_sim::fault`).
 //! * **Persistence** — with [`ServeOptions::store_dir`] set, cacheable
 //!   outcomes also land in an on-disk content-addressed
 //!   [`ArtifactStore`](asv_store::ArtifactStore), making it a second
@@ -65,7 +62,7 @@
 //!      p: assert property (@(posedge clk) disable iff (!rst_n) d |-> ##1 q);\n\
 //!      endmodule",
 //! )?;
-//! let verifier = Verifier { engine: Engine::Portfolio, ..Verifier::default() };
+//! let verifier = Verifier { engine: Engine::Auto, ..Verifier::default() };
 //! let service = VerifyService::new(ServeOptions::default());
 //! let verdicts = service.verify_batch(&[VerifyJob::new(design, verifier)]);
 //! assert!(verdicts[0].as_ref().expect("verdict").holds_non_vacuously());

@@ -23,8 +23,8 @@
 //!
 //! 1. **Eligibility** — the job must be one whose canonical verdict is
 //!    the symbolic engine's: `OptLevel::Full`, an engine whose decision
-//!    rule is symbolic-first ([`Engine::Auto`] / [`Engine::Symbolic`] /
-//!    [`Engine::Portfolio`]), and a design inside the symbolic subset
+//!    rule is symbolic-first ([`Engine::Auto`] / [`Engine::Symbolic`]),
+//!    and a design inside the symbolic subset
 //!    ([`asv_sat::engine::supports`]). Fuzz and enumeration verdicts
 //!    depend on whole-design coverage feedback and budgets, never on the
 //!    cone alone.
@@ -41,10 +41,10 @@
 //!    clock/reset/opt facts (see `asv_sat::cone`); depth and
 //!    reset-cycles are mixed here. Verifier knobs that cannot influence
 //!    a symbolic verdict (seed, fuzz budget, enumeration limit, the
-//!    Auto-vs-Portfolio engine choice) are deliberately *excluded*, so
-//!    e.g. a Portfolio job warm-hits a verdict stored by an Auto job —
-//!    sound because both define their result as the canonical symbolic
-//!    verdict.
+//!    Auto-vs-Symbolic engine choice) are deliberately *excluded*, so
+//!    e.g. a forced-Symbolic job warm-hits a verdict stored by an Auto
+//!    job — sound because, inside the subset, both report the symbolic
+//!    engine's verdict (and gate 2 keeps degraded Auto verdicts out).
 
 use crate::job::{JobOutcome, VerdictError, VerifyJob};
 use asv_ir::StableHasher;
@@ -82,10 +82,7 @@ pub fn cone_outcome_key(job: &VerifyJob) -> Option<StoreKey> {
     if job.verifier.opt != OptLevel::Full {
         return None;
     }
-    if !matches!(
-        job.verifier.engine,
-        Engine::Auto | Engine::Symbolic | Engine::Portfolio
-    ) {
+    if !matches!(job.verifier.engine, Engine::Auto | Engine::Symbolic) {
         return None;
     }
     let cd = asv_sim::cache::global().get_or_compile_opt(&job.design, job.verifier.opt);
@@ -186,8 +183,8 @@ mod tests {
     fn cone_keys_ignore_symbolically_irrelevant_knobs() {
         let v = Verifier::default();
         let base = cone_outcome_key(&job(&simple("d"), v)).unwrap();
-        let portfolio = Verifier {
-            engine: Engine::Portfolio,
+        let symbolic = Verifier {
+            engine: Engine::Symbolic,
             seed: 99,
             random_runs: 3,
             exhaustive_limit: 17,
@@ -195,7 +192,7 @@ mod tests {
         };
         assert_eq!(
             base,
-            cone_outcome_key(&job(&simple("d"), portfolio)).unwrap(),
+            cone_outcome_key(&job(&simple("d"), symbolic)).unwrap(),
             "engine choice and sampling budgets must not split cone keys"
         );
         let deeper = Verifier {

@@ -5,10 +5,9 @@
 //! events a batch emitted — the engines know nothing about reports, and
 //! a service without a tracer produces reports with correct tiers and
 //! empty rung lists. Rung resource costs are attributed by **engine
-//! tag**, not time containment: portfolio racers overlap in time, but
-//! every child span (SAT solve, fuzz round, enumeration sweep) carries
-//! the [`EngineTag`] of the rung whose budget it ran under, so the
-//! grouping is exact even for concurrent rungs.
+//! tag**, not time containment: every child span (SAT solve, fuzz
+//! round, enumeration sweep) carries the [`EngineTag`] of the rung whose
+//! budget it ran under, so the grouping is exact.
 //!
 //! Wall-clock numbers appear *only* here and in the trace output;
 //! verdicts, job keys and cache contents never see a timestamp.

@@ -67,17 +67,16 @@ use std::time::Duration;
 pub struct ServeOptions {
     /// Worker threads; 0 means `std::thread::available_parallelism`.
     ///
-    /// Portfolio jobs spawn their own short-lived racer pair on top;
-    /// racers are cancelled as soon as a verdict is decisive, so the
-    /// oversubscription is transient.
+    /// These are the only threads a batch uses: each job runs
+    /// single-threaded inside the worker that claims it.
     pub workers: usize,
     /// Memoise verdicts across batches (disable for cache-cold
     /// benchmarking; in-batch deduplication always applies).
     pub memoize: bool,
     /// Per-job wall-clock deadline, measured from the moment a worker
-    /// starts the job (`None` = unbounded). Auto/portfolio jobs that
-    /// run out degrade to `Verdict::Inconclusive`; forced single-engine
-    /// jobs report [`VerdictError::Exhausted`].
+    /// starts the job (`None` = unbounded). Auto jobs that run out
+    /// degrade to `Verdict::Inconclusive`; forced single-engine jobs
+    /// report [`VerdictError::Exhausted`].
     pub deadline: Option<Duration>,
     /// Per-job cap on SAT solver conflicts (`None` = unbounded).
     pub max_conflicts: Option<u64>,
@@ -779,13 +778,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(service.stats().memo_hits, 0);
         assert!(service.stats().executed >= 2 * 3); // unique jobs per batch
-    }
-
-    #[test]
-    fn portfolio_batches_match_auto_batches() {
-        let auto = VerifyService::default().verify_batch(&batch(12, Engine::Auto));
-        let portfolio = VerifyService::default().verify_batch(&batch(12, Engine::Portfolio));
-        assert_eq!(portfolio, auto, "portfolio must be bit-identical to Auto");
     }
 
     #[test]

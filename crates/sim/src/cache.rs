@@ -1,14 +1,13 @@
 //! Shared, sharded compile cache: one [`CompiledDesign`] per distinct
 //! design, process-wide.
 //!
-//! The bounded verifier used to keep a *thread-local* MRU slot of
-//! compiled designs, which meant every worker thread of a parallel
-//! sampling/fuzzing/portfolio run re-lowered the same AST once per
-//! thread. This cache replaces that path with a single process-wide
-//! table sharded by design hash: lookups take one shard mutex (shards
-//! are independent, so concurrent verification jobs on different designs
-//! never contend), hits bump the entry to most-recently-used, and misses
-//! compile under no lock other than the owning shard's.
+//! Service workers verify jobs side by side, and many jobs share a
+//! design (one golden, many candidate repairs), so compiled designs live
+//! in a single process-wide table sharded by design hash rather than per
+//! thread: lookups take one shard mutex (shards are independent, so
+//! concurrent verification jobs on different designs never contend),
+//! hits bump the entry to most-recently-used, and misses compile under
+//! no lock other than the owning shard's.
 //!
 //! Keys are a 64-bit structural hash of the elaborated design (rendered
 //! module source plus resolved parameters); hash collisions are resolved

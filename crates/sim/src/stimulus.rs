@@ -137,8 +137,7 @@ impl StimulusGen {
     }
 
     /// Whether [`StimulusGen::exhaustive`] would succeed at these bounds,
-    /// without materialising anything (the portfolio racer decides its
-    /// engine line-up with this before spawning threads).
+    /// without materialising anything.
     pub fn exhaustive_feasible(&self, cycles: usize, limit: u64) -> bool {
         let bits_per_cycle: u32 = self.inputs.iter().map(|(_, w)| *w).sum();
         let total_bits = bits_per_cycle as u64 * cycles as u64;

@@ -12,9 +12,9 @@
 //!   minimal-depth, and vacuity is proven rather than sampled.
 //! * **Simulation** — the original oracle: exhaustive stimulus enumeration
 //!   when the input space fits [`Verifier::exhaustive_limit`], otherwise
-//!   seeded random sampling (parallelised across threads with a
-//!   deterministic lowest-index-wins merge, identical stimuli
-//!   deduplicated so no run repeats across threads).
+//!   seeded random sampling (identical stimuli deduplicated so no run
+//!   repeats). Both sweep the stimuli in lane-batched groups, lowest index
+//!   first, so the first failing stimulus is the reported one.
 //! * **Fuzz** — the `asv-fuzz` coverage-guided greybox fuzzer: branch,
 //!   toggle and antecedent coverage recorded per run feeds an AFL-style
 //!   corpus whose mutations (including design-constant dictionary
@@ -28,30 +28,6 @@
 //!   space when small enough and otherwise runs the **fuzzer** — not
 //!   blind sampling — over the same budget.
 //!
-//! * **Portfolio** — races the engines against each other with
-//!   cooperative cancellation (the standard trick from portfolio SAT
-//!   solving). The *canonical* engine is whatever **Auto** would pick;
-//!   competitors run concurrently and a result counts as *decisive* only
-//!   when it determines the canonical verdict: any canonical-engine
-//!   result, or a bounded *proof* of `Holds` from another complete
-//!   engine (exhaustive enumeration finishing before the symbolic prover
-//!   — common on small input spaces, where simulating every stimulus is
-//!   cheaper than bit-blasting). Losers are stopped through a
-//!   [`CancelToken`] threaded into the CDCL search loop, the fuzzing
-//!   round loop and the per-stimulus simulation loops, so they die
-//!   within one check interval. Verdicts are therefore bit-identical to
-//!   sequential [`Engine::Auto`] no matter which engine wins the race or
-//!   how many service workers run — `debug_assertions` builds re-run
-//!   Auto after every portfolio check and assert equivalence. (The one
-//!   documented tolerance: when an enumeration proof pre-empts a
-//!   symbolic run that *would have exhausted its conflict budget*, the
-//!   `Holds` verdict's `stimuli` count metadata reads 0 where Auto's
-//!   fallback would report the enumeration count — hold/fail,
-//!   exhaustiveness and the vacuity set still match exactly, and an
-//!   observed symbolic failure always routes to Auto's fallback verdict.
-//!   The archetype suites never get near the budget and assert full
-//!   bit-identity.)
-//!
 //! Every symbolic counterexample is replayed on the compiled simulator
 //! before being reported, and every fuzzer finding additionally replays
 //! on the `AstSimulator` interpreter oracle, so `Fails` verdicts carry
@@ -63,20 +39,23 @@
 //! token, wall-clock (or injected-clock) deadline, and per-resource caps
 //! — into every engine's hot loop. Forced single-engine modes surface a
 //! blown budget as the structured [`VerifyError::Exhausted`];
-//! [`Engine::Auto`] and [`Engine::Portfolio`] instead *degrade* down a
-//! deterministic ladder (symbolic → exhaustive enumeration →
-//! coverage-guided fuzzing → random sampling), isolating per-rung panics
-//! and halving the stimulus budget per exhausted rung, and report
-//! [`Verdict::Inconclusive`] with the full attempt trace only when every
+//! [`Engine::Auto`] instead *degrades* down a deterministic ladder
+//! (symbolic → exhaustive enumeration → coverage-guided fuzzing → random
+//! sampling), isolating per-rung panics and halving the stimulus budget
+//! per exhausted rung, and reports [`Verdict::Inconclusive`] with the full attempt trace only when every
 //! rung fails. Fault-free unbudgeted checks take exactly the pre-ladder
 //! path, so their verdicts are bit-identical to the sequential chain.
+//!
+//! Every check runs on the calling thread. Parallelism lives one level
+//! up, in the `asv-serve` worker pool, which runs whole checks side by
+//! side.
 
 pub use asv_sim::compile::OptLevel;
 
 use crate::monitor::{AssertionFailure, CheckOutcome, CompiledChecker, MonitorError};
 use asv_fuzz::{AssertionOracle, FuzzError, FuzzOptions, FuzzVerdict};
 use asv_sat::engine::{BmcError, BmcOptions, BmcVerdict};
-use asv_sim::cancel::{Budget, CancelToken, Exhausted, Stop};
+use asv_sim::cancel::{Budget, Exhausted, Stop};
 use asv_sim::compile::CompiledDesign;
 use asv_sim::cover::CovMap;
 use asv_sim::exec::{SimError, Simulator};
@@ -86,10 +65,9 @@ use asv_sim::trace::Trace;
 use asv_trace::{probe, Cost, EndReason, EngineTag, SpanKind, TraceSink};
 use asv_verilog::sema::Design;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Result of verifying a design's assertions.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,7 +88,7 @@ pub enum Verdict {
     /// A counterexample was found.
     Fails(CounterExample),
     /// No engine produced a verdict within its budget: every rung of the
-    /// [`Engine::Auto`]/[`Engine::Portfolio`] degradation ladder failed
+    /// [`Engine::Auto`] degradation ladder failed
     /// recoverably (resource exhaustion, an isolated panic, a spurious
     /// cancellation). Never cached, never produced by a fault-free
     /// unbudgeted check.
@@ -188,14 +166,13 @@ pub enum VerifyError {
     /// The fuzzing engine failed (oracle error or a finding that did not
     /// replay on the interpreter — harness bugs, not design verdicts).
     Fuzz(String),
-    /// The check's [`CancelToken`] was poisoned before a verdict (the
-    /// caller tore the work down; losing portfolio engines surface this
-    /// internally and it never escapes a portfolio check).
+    /// The check's [`asv_sim::CancelToken`] was poisoned before a verdict
+    /// (the caller tore the work down).
     Cancelled,
     /// A budgeted resource ran out before a verdict. Forced single-engine
-    /// modes surface this directly; [`Engine::Auto`] and
-    /// [`Engine::Portfolio`] degrade down the ladder instead and only
-    /// report [`Verdict::Inconclusive`] when every rung is exhausted.
+    /// modes surface this directly; [`Engine::Auto`] degrades down the
+    /// ladder instead and only reports [`Verdict::Inconclusive`] when
+    /// every rung is exhausted.
     Exhausted(Exhausted),
 }
 
@@ -297,24 +274,6 @@ enum RungOutcome {
     Unsupported(TriedEngine),
 }
 
-/// Routes a failed symbolic racer to the concrete racer's result; when
-/// the concrete ladder itself ended [`Verdict::Inconclusive`], the
-/// symbolic attempt is prepended so the trace matches what sequential
-/// [`Engine::Auto`] would have recorded.
-fn merge_sym_failure(
-    sym: TriedEngine,
-    conc: &Result<Verdict, VerifyError>,
-) -> Result<Verdict, VerifyError> {
-    match conc {
-        Ok(Verdict::Inconclusive { tried }) => {
-            let mut full = vec![sym];
-            full.extend(tried.iter().cloned());
-            Ok(Verdict::Inconclusive { tried: full })
-        }
-        other => other.clone(),
-    }
-}
-
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(p) = payload.downcast_ref::<asv_sim::fault::InjectedPanic>() {
@@ -390,9 +349,8 @@ fn backoff(runs: usize, penalties: u32) -> usize {
 /// Backoff increment for an exhausted rung. Under a *plain* budget the
 /// only possible exhaustion is an engine-internal cap (SAT conflict
 /// budget, AIG node limit) — the pre-ladder chain always fell back at
-/// full stimulus budget there, and the portfolio's concrete racer (which
-/// starts before the symbolic outcome is known) still does, so backoff
-/// applies only when the caller set a budget or armed fault injection.
+/// full stimulus budget there, so backoff applies only when the caller
+/// set a budget or armed fault injection.
 fn penalty_step(budget: &Budget) -> u32 {
     u32::from(!budget.is_plain())
 }
@@ -423,24 +381,12 @@ fn rung_end(outcome: &RungOutcome) -> EndReason {
     }
 }
 
-/// [`EndReason`] of the portfolio's symbolic racer (the un-classified
-/// [`Verifier::check_symbolic`] result shape).
-fn sym_racer_end(res: &Result<Result<Verdict, VerifyError>, RungFailure>) -> EndReason {
-    match res {
-        Ok(inner) => verdict_end(inner),
-        Err(fall) if fall.unsupported => EndReason::Unsupported,
-        Err(fall) if fall.reason.starts_with("panicked") => EndReason::Panicked,
-        Err(_) => EndReason::Exhausted,
-    }
-}
-
 /// Wraps one ladder rung in its trace span.
 ///
 /// The body runs under an engine-tagged copy of `budget`, so every child
 /// span it emits (SAT solves, fuzz rounds, enumeration sweeps) carries
-/// the rung's [`EngineTag`] — that tag, not time containment, is how
-/// per-rung resource costs are attributed when rungs overlap (portfolio
-/// racers run concurrently). The span itself records the rung's
+/// the rung's [`EngineTag`], which is how per-rung resource costs are
+/// attributed. The span itself records the rung's
 /// [`EndReason`] on every exit path via its drop guard. With tracing
 /// disabled the tagged budget is byte-identical in behaviour and the
 /// span is inert, so verdicts cannot depend on instrumentation.
@@ -476,11 +422,6 @@ pub enum Engine {
     /// The coverage-guided fuzzer only, with [`Verifier::random_runs`] as
     /// its execution budget.
     Fuzz,
-    /// Races the engines concurrently with cooperative cancellation and
-    /// returns the canonical ([`Engine::Auto`]-identical) verdict as soon
-    /// as any racer determines it; losers stop within one cancellation
-    /// check interval. See the module docs for the exact decision rule.
-    Portfolio,
 }
 
 /// Bounded verifier configuration.
@@ -525,10 +466,8 @@ impl Default for Verifier {
 }
 
 /// Compiled-design lookup through the process-wide **sharded** cache in
-/// [`asv_sim::cache`]. An earlier revision kept a thread-local MRU slot
-/// here, which re-lowered the same AST once per worker thread during
-/// parallel sampling/fuzzing/portfolio runs; the shared cache compiles
-/// each distinct design exactly once per process.
+/// [`asv_sim::cache`]: service workers share it, so each distinct design
+/// is compiled exactly once per process.
 fn compiled_for(design: &Design, opt: OptLevel) -> Arc<CompiledDesign> {
     asv_sim::cache::global().get_or_compile_opt(design, opt)
 }
@@ -541,37 +480,6 @@ fn compiled_for_traced(
     trace: &asv_trace::TraceHandle,
 ) -> Arc<CompiledDesign> {
     asv_sim::cache::global().get_or_compile_traced(design, opt, trace)
-}
-
-/// Exact equality, except the one documented tolerance of the portfolio
-/// contract: two *exhaustive* `Holds` verdicts with identical vacuity
-/// sets are equivalent even when their `stimuli` counts differ (an
-/// enumeration proof that pre-empted a symbolic run which would have
-/// exhausted its budget reports 0 where Auto's fallback reports the
-/// enumeration count).
-#[cfg(debug_assertions)]
-fn portfolio_matches_auto(
-    portfolio: &Result<Verdict, VerifyError>,
-    auto: &Result<Verdict, VerifyError>,
-) -> bool {
-    if portfolio == auto {
-        return true;
-    }
-    matches!(
-        (portfolio, auto),
-        (
-            Ok(Verdict::Holds {
-                exhaustive: true,
-                vacuous: va,
-                ..
-            }),
-            Ok(Verdict::Holds {
-                exhaustive: true,
-                vacuous: vb,
-                ..
-            }),
-        ) if va == vb
-    )
 }
 
 impl Verifier {
@@ -597,22 +505,6 @@ impl Verifier {
         self.check_budgeted(design, &Budget::unbounded())
     }
 
-    /// [`Verifier::check`] with a cooperative [`CancelToken`] threaded
-    /// into every engine's hot loop (CDCL search, fuzzing rounds,
-    /// per-stimulus simulation): once the token is poisoned the check
-    /// returns [`VerifyError::Cancelled`] within one check interval.
-    ///
-    /// # Errors
-    ///
-    /// As [`Verifier::check`], plus [`VerifyError::Cancelled`].
-    pub fn check_cancellable(
-        &self,
-        design: &Design,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Verdict, VerifyError> {
-        self.check_budgeted(design, &Budget::from_cancel(cancel))
-    }
-
     /// [`Verifier::check`] under a full resource [`Budget`]: cancellation
     /// token, wall-clock or injected-clock deadline, and per-resource
     /// caps (SAT conflicts, fuzz rounds, AIG nodes), all polled inside
@@ -625,9 +517,8 @@ impl Verifier {
     /// As [`Verifier::check`], plus [`VerifyError::Cancelled`] for a
     /// poisoned token and [`VerifyError::Exhausted`] when a forced
     /// single-engine mode runs out of a budgeted resource.
-    /// [`Engine::Auto`]/[`Engine::Portfolio`] degrade down the ladder
-    /// instead and report [`Verdict::Inconclusive`] when every rung
-    /// fails.
+    /// [`Engine::Auto`] degrades down the ladder instead and reports
+    /// [`Verdict::Inconclusive`] when every rung fails.
     pub fn check_budgeted(&self, design: &Design, budget: &Budget) -> Result<Verdict, VerifyError> {
         if design.module.assertions().count() == 0 {
             return Err(VerifyError::NoAssertions);
@@ -643,7 +534,7 @@ impl Verifier {
                 probe::RUNG_FUZZ,
                 EngineTag::Fuzz,
                 budget,
-                |b| self.check_fuzz(design, &compiled, &checker, b, false, self.random_runs),
+                |b| self.check_fuzz(design, &compiled, &checker, b, self.random_runs),
                 verdict_end,
             ),
             Engine::Symbolic => traced_rung(
@@ -657,37 +548,13 @@ impl Verifier {
                 verdict_end,
             ),
             Engine::Auto => self.check_auto(design, &compiled, &checker, budget),
-            Engine::Portfolio => {
-                let res = self.check_portfolio(design, &compiled, &checker, budget);
-                // The cross-check the portfolio contract promises: in
-                // debug builds every portfolio verdict is re-derived by
-                // the sequential Auto chain and compared. Skipped unless
-                // the budget is plain — a live token could be poisoned
-                // between the two runs, a deadline burns down across
-                // them, and armed fault injection makes either run
-                // diverge by design.
-                #[cfg(debug_assertions)]
-                if budget.is_plain() {
-                    // Re-derive without the trace handle: the cross-check
-                    // is an implementation detail and must not double
-                    // every rung span in debug builds.
-                    let untraced = budget.without_trace();
-                    let auto = self.check_auto(design, &compiled, &checker, &untraced);
-                    debug_assert!(
-                        portfolio_matches_auto(&res, &auto),
-                        "portfolio verdict diverged from Engine::Auto: {res:?} vs {auto:?}"
-                    );
-                }
-                res
-            }
         }
     }
 
     /// The sequential [`Engine::Auto`] chain, now the top of the
     /// degradation ladder: symbolic first, then the concrete rungs. A
     /// fault-free unbudgeted run takes exactly the pre-ladder path
-    /// (symbolic, else enumeration, else fuzzing at full budget); the
-    /// portfolio mode reproduces exactly this verdict.
+    /// (symbolic, else enumeration, else fuzzing at full budget).
     fn check_auto(
         &self,
         design: &Design,
@@ -736,19 +603,6 @@ impl Verifier {
         }
     }
 
-    /// The concrete portion of [`Engine::Auto`]: exhaustive enumeration
-    /// when the bounded input space is small enough, coverage-guided
-    /// fuzzing (never blind sampling) otherwise.
-    fn check_concrete(
-        &self,
-        design: &Design,
-        compiled: &Arc<CompiledDesign>,
-        checker: &CompiledChecker,
-        budget: &Budget,
-    ) -> Result<Verdict, VerifyError> {
-        self.check_concrete_ladder(design, compiled, checker, budget, Vec::new(), 0)
-    }
-
     /// The concrete rungs of the degradation ladder: enumeration (when
     /// feasible) → coverage-guided fuzzing → blind random sampling, each
     /// panic-isolated, the stimulus budget halved per exhausted rung.
@@ -792,7 +646,7 @@ impl Verifier {
             budget,
             |b| {
                 run_rung(Engine::Fuzz, b, || {
-                    self.check_fuzz(design, compiled, checker, b, false, runs)
+                    self.check_fuzz(design, compiled, checker, b, runs)
                 })
             },
             rung_end,
@@ -848,7 +702,7 @@ impl Verifier {
         let bmc = match asv_sat::engine::check_budgeted(compiled, opts, budget) {
             Ok(v) => v,
             // Cancellation is a hard stop, never a fallback trigger: a
-            // cancelled Auto/portfolio check must not silently run the
+            // cancelled Auto check must not silently run the
             // (expensive) concrete chain instead. (The ladder re-checks
             // the caller's token and degrades when the cancellation was
             // spurious.)
@@ -953,17 +807,14 @@ impl Verifier {
         budget: &Budget,
         runs: usize,
     ) -> Result<Verdict, VerifyError> {
-        // The one sequential point of the sampling rung — fault probes
-        // must not run inside the worker threads (concurrent draws would
-        // make per-probe hit counters order-dependent).
+        // The rung's one fault probe, drawn before any stimulus runs.
         budget.probe(probe::SVA_SAMPLE)?;
         let sink = budget.trace().clone();
         let mut span = sink.span(probe::SVA_SAMPLE, SpanKind::Sampling);
         let gen = StimulusGen::new(design);
         // Per-stimulus RNG streams (SplitMix64-expanded seeds) are
         // decorrelated but can still collide on narrow inputs;
-        // identical stimuli are deduplicated so no run repeats
-        // across worker threads.
+        // identical stimuli are deduplicated so no run repeats.
         let mut seen: std::collections::HashSet<Stimulus> =
             std::collections::HashSet::with_capacity(runs);
         let stimuli: Vec<Stimulus> = (0..runs)
@@ -977,14 +828,12 @@ impl Verifier {
             .filter(|s| seen.insert(s.clone()))
             .collect();
         let count = stimuli.len();
+        // Cost on a scheduled basis, accrued up front: the stimulus count
+        // and lane grouping are pure functions of the run count.
         span.add_cost(Cost {
             stimuli: count as u64,
             ..Cost::default()
         });
-        // Scheduled-basis batch accounting, emitted at this sequential
-        // point: the lane grouping is a pure function of the stimulus
-        // count, so the cost vector is identical however many workers
-        // drain the groups.
         if count > 0 {
             let batches = count.div_ceil(LANES) as u64;
             sink.instant(
@@ -999,11 +848,18 @@ impl Verifier {
                 },
             );
         }
-        let fired = match check_stimuli_parallel(compiled, checker, stimuli, budget)? {
-            Ok(fired) => fired,
-            Err(cex) => return Ok(Verdict::Fails(cex)),
-        };
-        Ok(self.holds(design, false, count, fired))
+        let swept = sweep_groups(
+            compiled,
+            checker,
+            &stimuli,
+            false,
+            |_| budget.check().map_err(VerifyError::from),
+            |_| {},
+        )?;
+        Ok(match swept {
+            Ok(fired) => self.holds(design, false, count, fired),
+            Err(cex) => Verdict::Fails(cex),
+        })
     }
 
     /// Checks a fully enumerated stimulus set (exhaustive coverage).
@@ -1018,62 +874,51 @@ impl Verifier {
         let count = all.len();
         let sink = budget.trace().clone();
         let mut span = sink.span(probe::SVA_ENUM, SpanKind::Enumeration);
-        let mut fired: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
         // Count bytecode ops only when someone is listening — the
         // untraced sweep keeps the fully uninstrumented simulator.
         let counting = sink.is_enabled();
-        for group in all.chunks(LANES) {
-            // Fire the per-stimulus fault probes *before* the group runs —
-            // one draw per stimulus, exactly the cardinality the scalar
-            // sweep had, so deterministic fault schedules keyed on this
-            // probe hit the same stimulus ordinals. (Under an injected
-            // fault the batched sweep stops before the group's earlier
-            // stimuli run, where the scalar sweep had already run and
-            // accrued them — cost accounting under fault is the one
-            // tolerated difference; verdicts and probe draws match.)
-            for _ in group {
-                budget.probe(probe::SVA_ENUM)?;
-            }
-            sink.instant(
-                probe::SIM_BATCH,
-                SpanKind::Batch,
-                0,
-                Cost {
-                    batches: 1,
-                    lanes_occupied: group.len() as u64,
-                    lanes_total: LANES as u64,
-                    ..Cost::default()
-                },
-            );
-            let runs = run_stimulus_group(compiled, group, LANES, None, counting);
-            // One shared monitor scratch stack for the whole group.
-            let mut judged = checker
-                .outcomes_lanes(
-                    runs.iter()
-                        .filter_map(|o| o.as_ref().ok())
-                        .map(|r| &r.trace),
-                )
-                .into_iter();
-            for (j, outcome) in runs.iter().enumerate() {
-                let run = match outcome {
-                    Ok(run) => run,
-                    Err(e) => return Err(VerifyError::Sim(e.clone())),
-                };
-                let results = judged.next().expect("one judgment per surviving lane")?;
-                match classify_outcomes(&results, &group[j]) {
-                    StimulusOutcome::Fails(cex) => return Ok(Verdict::Fails(cex)),
-                    StimulusOutcome::Passes(names) => fired.extend(names),
+        let swept = sweep_groups(
+            compiled,
+            checker,
+            &all,
+            counting,
+            |group| {
+                // One fault probe per stimulus, drawn *before* the group
+                // runs, so deterministic fault schedules keyed on this
+                // probe hit the same stimulus ordinals as a scalar sweep.
+                // (Under an injected fault the sweep stops before the
+                // group's earlier stimuli run, so cost accounting under
+                // fault is the one tolerated difference.)
+                for _ in group {
+                    budget.probe(probe::SVA_ENUM)?;
                 }
-                // Per-stimulus accrual keeps the count honest when a
-                // failure or budget stop cuts the sweep short.
+                sink.instant(
+                    probe::SIM_BATCH,
+                    SpanKind::Batch,
+                    0,
+                    Cost {
+                        batches: 1,
+                        lanes_occupied: group.len() as u64,
+                        lanes_total: LANES as u64,
+                        ..Cost::default()
+                    },
+                );
+                Ok(())
+            },
+            // Per-stimulus accrual keeps the count honest when a failure
+            // or budget stop cuts the sweep short.
+            |ops| {
                 span.add_cost(Cost {
                     stimuli: 1,
-                    ops: run.ops,
+                    ops,
                     ..Cost::default()
-                });
-            }
-        }
-        Ok(self.holds(design, true, count, fired))
+                })
+            },
+        )?;
+        Ok(match swept {
+            Ok(fired) => self.holds(design, true, count, fired),
+            Err(cex) => Verdict::Fails(cex),
+        })
     }
 
     /// The coverage-guided fuzzing engine, with [`Verifier::random_runs`]
@@ -1087,7 +932,6 @@ impl Verifier {
         compiled: &Arc<CompiledDesign>,
         checker: &CompiledChecker,
         budget: &Budget,
-        single_thread: bool,
         runs: usize,
     ) -> Result<Verdict, VerifyError> {
         let oracle = CheckerOracle { checker };
@@ -1096,10 +940,6 @@ impl Verifier {
             reset_cycles: self.reset_cycles,
             budget: runs,
             seed: self.seed,
-            // A portfolio racer must not multiply the service's worker
-            // threads by the fuzzer's own pool (verdicts are
-            // thread-count-independent; only wall time changes).
-            threads: usize::from(single_thread),
             ..FuzzOptions::default()
         };
         let res =
@@ -1135,208 +975,12 @@ impl Verifier {
         }
     }
 
-    /// [`Engine::Portfolio`]: race the symbolic prover against a
-    /// concrete competitor, first *decisive* result wins.
-    ///
-    /// Canonical-verdict rule (what makes racing deterministic):
-    ///
-    /// * the canonical engine is whatever [`Engine::Auto`] would run —
-    ///   symbolic when the [`asv_sat::engine::supports`] probe passes,
-    ///   else enumeration when the bounded input space fits
-    ///   [`Verifier::exhaustive_limit`], else the fuzzer;
-    /// * a canonical-engine result is always decisive;
-    /// * a bounded **proof** of `Holds` by exhaustive enumeration is
-    ///   decisive even when symbolic is canonical: both engines decide
-    ///   the same bounded space, so the vacuity sets coincide (the
-    ///   differential suite enforces this agreement) and the verdict is
-    ///   reported in symbolic form (`stimuli: 0`);
-    /// * anything else — a concrete `Fails` (its counterexample would
-    ///   differ from the canonical minimal-depth one) or a fuzz
-    ///   `Holds` (not a proof) — is held as the fallback result in case
-    ///   the symbolic engine exhausts a budget, exactly mirroring Auto's
-    ///   fallback chain.
-    ///
-    /// Losers are cancelled and stop within one token-check interval.
-    fn check_portfolio(
-        &self,
-        design: &Design,
-        compiled: &Arc<CompiledDesign>,
-        checker: &CompiledChecker,
-        budget: &Budget,
-    ) -> Result<Verdict, VerifyError> {
-        budget.check()?;
-        // Out-of-subset designs have no competing complete engine: the
-        // canonical concrete chain runs directly, exactly like Auto.
-        if asv_sat::engine::supports(compiled).is_err() {
-            return self.check_concrete(design, compiled, checker, budget);
-        }
-        // Feasibility only — the stimulus set itself is materialised
-        // inside the concrete racer thread, off the decision path.
-        let enumerable =
-            StimulusGen::new(design).exhaustive_feasible(self.depth, self.exhaustive_limit);
-
-        // Each racer gets the caller's limits and fault session under its
-        // own cancellation token, so losers can be stopped without
-        // poisoning the caller's token. Concurrent racers draw from
-        // disjoint fault-probe prefixes (`sat.*` vs `sva.*`/`fuzz.*`), so
-        // per-probe hit sequences stay deterministic per racer.
-        let sym_cancel = CancelToken::new();
-        let conc_cancel = CancelToken::new();
-        let sym_budget = budget.derive_with_cancel(sym_cancel.clone());
-        let conc_budget = budget.derive_with_cancel(conc_cancel.clone());
-        enum Msg {
-            Sym(Result<Result<Verdict, VerifyError>, RungFailure>),
-            Conc(Result<Verdict, VerifyError>),
-        }
-        let (tx, rx) = mpsc::channel::<Msg>();
-        std::thread::scope(|scope| {
-            let tx_sym = tx.clone();
-            let sym_budget = &sym_budget;
-            scope.spawn(move || {
-                // A panic inside the prover (injected or genuine) must
-                // not strand the decision loop or tear the scope down:
-                // it is exactly a rung failure — the concrete racer
-                // decides.
-                let r = traced_rung(
-                    probe::RUNG_SYMBOLIC,
-                    EngineTag::Symbolic,
-                    sym_budget,
-                    |b| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.check_symbolic(compiled, checker, b)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(RungFailure {
-                                reason: format!("panicked: {}", panic_message(payload.as_ref())),
-                                exhausted: None,
-                                unsupported: false,
-                            })
-                        })
-                    },
-                    sym_racer_end,
-                );
-                let _ = tx_sym.send(Msg::Sym(r));
-            });
-            let conc_budget = &conc_budget;
-            scope.spawn(move || {
-                // Auto's exact concrete chain: enumeration when feasible,
-                // the (single-threaded) fuzzer beyond it. Rung panics are
-                // isolated inside the ladder itself.
-                let r = self.check_concrete(design, compiled, checker, conc_budget);
-                let _ = tx.send(Msg::Conc(r));
-            });
-
-            let mut sym: Option<Result<Result<Verdict, VerifyError>, RungFailure>> = None;
-            let mut conc: Option<Result<Verdict, VerifyError>> = None;
-            // Set once an enumeration Holds-proof has pre-empted the
-            // symbolic racer (its vacuity set); the loop then only waits
-            // to observe *why* symbolic stopped, so an actual symbolic
-            // failure still routes to Auto's fallback verdict instead of
-            // racing against it.
-            let mut preempted: Option<Vec<String>> = None;
-            let decision = loop {
-                let msg = match rx.recv_timeout(Duration::from_millis(20)) {
-                    Ok(msg) => msg,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if budget.is_cancelled() {
-                            break Err(VerifyError::Cancelled);
-                        }
-                        continue;
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        // Both racers reported and neither message was
-                        // decisive — impossible, since a symbolic result
-                        // always is; defend anyway.
-                        break Err(VerifyError::Cancelled);
-                    }
-                };
-                if budget.is_cancelled() {
-                    break Err(VerifyError::Cancelled);
-                }
-                match msg {
-                    Msg::Sym(r) => sym = Some(r),
-                    Msg::Conc(r) => conc = Some(r),
-                }
-                if let (Some(vac), Some(s)) = (&preempted, &sym) {
-                    break match s {
-                        // Symbolic crossed the line despite the
-                        // cancellation: its verdict is exact.
-                        Ok(Ok(v)) => Ok(v.clone()),
-                        // Stopped by our poison: report the enumeration
-                        // proof in canonical (symbolic) form.
-                        Ok(Err(VerifyError::Cancelled)) => Ok(Verdict::Holds {
-                            exhaustive: true,
-                            stimuli: 0,
-                            vacuous: vac.clone(),
-                        }),
-                        Ok(Err(e)) => Err(e.clone()),
-                        // Genuine symbolic failure (budget) observed
-                        // before the poison landed: Auto would fall back
-                        // to the concrete engine — report its verdict.
-                        Err(_fallback) => {
-                            conc.clone().expect("concrete result pre-empted the race")
-                        }
-                    };
-                }
-                if preempted.is_some() {
-                    continue; // waiting for the symbolic racer's message
-                }
-                match &sym {
-                    // A spurious cancellation (fault injection) without a
-                    // poisoned caller token is a rung failure, not a
-                    // decision: fall through to the concrete racer like
-                    // any other symbolic failure.
-                    Some(Ok(Err(VerifyError::Cancelled))) if !budget.is_cancelled() => {
-                        if let Some(c) = &conc {
-                            break merge_sym_failure(
-                                TriedEngine {
-                                    engine: Engine::Symbolic,
-                                    reason: "spurious cancellation".into(),
-                                    exhausted: None,
-                                },
-                                c,
-                            );
-                        }
-                    }
-                    // The canonical engine reported: decisive.
-                    Some(Ok(verdict)) => break verdict.clone(),
-                    // Symbolic fell over (budget): the concrete racer is
-                    // now canonical; use its result once present.
-                    Some(Err(fall)) => {
-                        if let Some(c) = &conc {
-                            break merge_sym_failure(fall.clone().tried(Engine::Symbolic), c);
-                        }
-                    }
-                    None => {
-                        // A bounded enumeration *proof* of Holds decides
-                        // the same space symbolic would: pre-empt the
-                        // prover, then wait one message to learn how it
-                        // stopped. Everything else (a concrete `Fails`,
-                        // a fuzz `Holds`) waits for the canonical
-                        // engine.
-                        if enumerable {
-                            if let Some(Ok(Verdict::Holds { vacuous, .. })) = &conc {
-                                sym_cancel.cancel();
-                                preempted = Some(vacuous.clone());
-                            }
-                        }
-                    }
-                }
-            };
-            // Stop the losers; scope join waits for them to observe the
-            // poison (one check interval).
-            sym_cancel.cancel();
-            conc_cancel.cancel();
-            decision
-        })
-    }
-
     fn holds(
         &self,
         design: &Design,
         exhaustive: bool,
         stimuli: usize,
-        fired: std::collections::BTreeSet<String>,
+        fired: BTreeSet<String>,
     ) -> Verdict {
         let vacuous: Vec<String> = design
             .module
@@ -1404,34 +1048,16 @@ enum StimulusOutcome {
     Passes(Vec<String>),
 }
 
+/// Simulates and monitors one stimulus on the scalar simulator (the
+/// fuzzer-finding replay path).
 fn run_stimulus(
     compiled: &Arc<CompiledDesign>,
     checker: &CompiledChecker,
     stim: Stimulus,
 ) -> Result<StimulusOutcome, VerifyError> {
-    run_stimulus_counted(compiled, checker, stim, None)
-}
-
-/// [`run_stimulus`] with optional bytecode op accounting: when `ops` is
-/// given, the simulator counts dispatched ops into it (a pure function
-/// of bytecode and stimulus, so deterministic). Only the sequential
-/// enumeration sweep passes `Some` — parallel paths would make the sum
-/// depend on how many stimuli each racing worker executed.
-fn run_stimulus_counted(
-    compiled: &Arc<CompiledDesign>,
-    checker: &CompiledChecker,
-    stim: Stimulus,
-    ops: Option<&mut u64>,
-) -> Result<StimulusOutcome, VerifyError> {
     let mut sim = Simulator::from_compiled(Arc::clone(compiled));
-    if ops.is_some() {
-        sim.enable_op_count();
-    }
     for t in 0..stim.len() {
         sim.step(&stim.cycle(t))?;
-    }
-    if let Some(ops) = ops {
-        *ops = ops.saturating_add(sim.ops_executed());
     }
     let trace = sim.into_trace();
     let results = checker.outcomes(&trace)?;
@@ -1441,7 +1067,7 @@ fn run_stimulus_counted(
 /// Folds one stimulus's per-directive monitor outcomes into a
 /// [`StimulusOutcome`], cloning the stimulus into the counterexample
 /// only on failure. Shared between the scalar runner and the
-/// lane-batched group paths so both classify identically.
+/// lane-batched sweep so both classify identically.
 fn classify_outcomes(
     results: &[(&asv_verilog::ast::AssertDirective, CheckOutcome)],
     stim: &Stimulus,
@@ -1476,127 +1102,54 @@ fn classify_outcomes(
 /// verdicts or cache identity.
 const LANES: usize = 16;
 
-/// Result of a worker's earliest "event" (error or failure) at a stimulus
-/// index; the merge keeps the lowest index so the parallel fallback is
-/// bit-identical to the sequential loop it replaced.
-type WorkerEvent = (usize, Result<CounterExample, VerifyError>);
-
-/// Checks random stimuli across `std::thread::scope` workers.
+/// Sweeps `stimuli` in lane groups of [`LANES`], lowest index first, and
+/// stops at the first failing stimulus or error — so the reported
+/// counterexample is the one a scalar loop would have found.
 ///
-/// Returns `Ok(Ok(fired))` when every stimulus passes, `Ok(Err(cex))` for
-/// the failure with the lowest stimulus index, and `Err(e)` for the error
-/// with the lowest index (errors and failures compete on index, exactly
-/// like the sequential loop).
-#[allow(clippy::type_complexity)]
-fn check_stimuli_parallel(
+/// `before_group` runs ahead of each group (the rung's budget polls, fault
+/// probes and batch accounting); `passed` runs once per passing stimulus
+/// with the bytecode ops it executed (0 unless `counting`). Returns the
+/// union of assertions that fired non-vacuously when every stimulus
+/// passes, or the first counterexample.
+fn sweep_groups(
     compiled: &Arc<CompiledDesign>,
     checker: &CompiledChecker,
-    stimuli: Vec<Stimulus>,
-    budget: &Budget,
-) -> Result<Result<std::collections::BTreeSet<String>, CounterExample>, VerifyError> {
-    if stimuli.is_empty() {
-        // `random_runs: 0` — the sequential loop checked nothing and held.
-        return Ok(Ok(std::collections::BTreeSet::new()));
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(stimuli.len())
-        .max(1);
-    // Lowest stimulus index with an event so far: later indices can be
-    // skipped by every worker (they can never win the merge).
-    let best = AtomicUsize::new(usize::MAX);
-    let chunk = stimuli.len().div_ceil(workers);
-    let mut events: Vec<Option<WorkerEvent>> = Vec::new();
-    let mut fired_sets: Vec<std::collections::BTreeSet<String>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (p, part) in stimuli.chunks(chunk).enumerate() {
-            let best = &best;
-            let part_start = p * chunk;
-            handles.push(scope.spawn(move || {
-                let mut fired = std::collections::BTreeSet::new();
-                let mut event: Option<WorkerEvent> = None;
-                // Lane-batched drain: each group of LANES stimuli runs as
-                // one SoA bytecode pass, then every lane's trace is judged
-                // in stimulus-index order. Lanes past a failing one are
-                // simulated but their outcomes discarded — wasted work at
-                // most once per worker, never an observable difference.
-                'groups: for (g, group) in part.chunks(LANES).enumerate() {
-                    let start = part_start + g * LANES;
-                    // Plain poll, never a fault probe: concurrent workers
-                    // drawing from one per-probe hit counter would be
-                    // order-dependent.
-                    if budget.check().is_err() {
-                        break; // the whole check is being torn down
-                    }
-                    if start >= best.load(Ordering::Relaxed) {
-                        break; // an earlier event already wins the merge
-                    }
-                    let runs = run_stimulus_group(compiled, group, LANES, None, false);
-                    // One shared monitor scratch stack for the whole group.
-                    let mut judged = checker
-                        .outcomes_lanes(
-                            runs.iter()
-                                .filter_map(|o| o.as_ref().ok())
-                                .map(|r| &r.trace),
-                        )
-                        .into_iter();
-                    for (j, outcome) in runs.iter().enumerate() {
-                        let idx = start + j;
-                        let res = match outcome {
-                            Ok(_) => judged
-                                .next()
-                                .expect("one judgment per surviving lane")
-                                .map(|results| classify_outcomes(&results, &group[j]))
-                                .map_err(VerifyError::from),
-                            Err(e) => Err(VerifyError::Sim(e.clone())),
-                        };
-                        match res {
-                            Ok(StimulusOutcome::Passes(names)) => fired.extend(names),
-                            Ok(StimulusOutcome::Fails(cex)) => {
-                                event = Some((idx, Ok(cex)));
-                                best.fetch_min(idx, Ordering::Relaxed);
-                                break 'groups;
-                            }
-                            Err(e) => {
-                                event = Some((idx, Err(e)));
-                                best.fetch_min(idx, Ordering::Relaxed);
-                                break 'groups;
-                            }
-                        }
-                    }
-                }
-                (event, fired)
-            }));
-        }
-        for h in handles {
-            let (event, fired) = h.join().expect("verification worker panicked");
-            events.push(event);
-            fired_sets.push(fired);
-        }
-    });
-    // A poisoned token or blown deadline means whatever was merged so far
-    // is a partial view and must not be reported.
-    budget.check()?;
-    let earliest = events.into_iter().flatten().min_by_key(|(idx, _)| *idx);
-    match earliest {
-        Some((_, Ok(cex))) => Ok(Err(cex)),
-        Some((_, Err(e))) => Err(e),
-        None => {
-            let mut fired = std::collections::BTreeSet::new();
-            for set in fired_sets {
-                fired.extend(set);
+    stimuli: &[Stimulus],
+    counting: bool,
+    mut before_group: impl FnMut(&[Stimulus]) -> Result<(), VerifyError>,
+    mut passed: impl FnMut(u64),
+) -> Result<Result<BTreeSet<String>, CounterExample>, VerifyError> {
+    let mut fired = BTreeSet::new();
+    for group in stimuli.chunks(LANES) {
+        before_group(group)?;
+        let runs = run_stimulus_group(compiled, group, LANES, None, counting);
+        // One shared monitor scratch stack for the whole group.
+        let mut judged = checker
+            .outcomes_lanes(
+                runs.iter()
+                    .filter_map(|o| o.as_ref().ok())
+                    .map(|r| &r.trace),
+            )
+            .into_iter();
+        for (stim, outcome) in group.iter().zip(&runs) {
+            let run = outcome.as_ref().map_err(|e| VerifyError::Sim(e.clone()))?;
+            let results = judged.next().expect("one judgment per surviving lane")?;
+            match classify_outcomes(&results, stim) {
+                StimulusOutcome::Fails(cex) => return Ok(Err(cex)),
+                StimulusOutcome::Passes(names) => fired.extend(names),
             }
-            Ok(Ok(fired))
+            passed(run.ops);
         }
     }
+    Ok(Ok(fired))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asv_sim::cancel::CancelToken;
     use asv_verilog::compile;
+    use std::time::Duration;
 
     const GOOD: &str = r#"
 module latch1(input clk, input rst_n, input d, output reg q);
@@ -1968,51 +1521,19 @@ endmodule
     }
 
     #[test]
-    fn portfolio_is_bit_identical_to_auto() {
-        // In-subset Holds (symbolic vs enumeration race), in-subset Fails
-        // (symbolic canonical), and out-of-subset rare trigger (concrete
-        // chain): every verdict must equal sequential Engine::Auto's.
-        // (Debug builds additionally re-assert this inside every
-        // portfolio check.)
-        for (src, depth, runs) in [(GOOD, 6, 48), (BAD, 6, 48), (LATCH_RARE, 8, 64)] {
-            let d = compile(src).expect("compile");
-            let auto = Verifier {
-                depth,
-                random_runs: runs,
-                ..Verifier::default()
-            };
-            let portfolio = Verifier {
-                engine: Engine::Portfolio,
-                ..auto
-            };
-            assert_eq!(
-                portfolio.check(&d),
-                auto.check(&d),
-                "portfolio must reproduce Auto's verdict"
-            );
-            // And it is stable across repeated races.
-            assert_eq!(portfolio.check(&d), portfolio.check(&d));
-        }
-    }
-
-    #[test]
     fn poisoned_token_cancels_every_engine() {
         let d = compile(BAD).expect("compile");
         let token = CancelToken::new();
         token.cancel();
-        for engine in [
-            Engine::Auto,
-            Engine::Symbolic,
-            Engine::Fuzz,
-            Engine::Portfolio,
-        ] {
+        let budget = Budget::unbounded().with_cancel(token);
+        for engine in [Engine::Auto, Engine::Symbolic, Engine::Fuzz] {
             let v = Verifier {
                 depth: 6,
                 engine,
                 ..Verifier::default()
             };
             assert_eq!(
-                v.check_cancellable(&d, Some(&token)),
+                v.check_budgeted(&d, &budget),
                 Err(VerifyError::Cancelled),
                 "{engine:?} must observe the poisoned token"
             );
@@ -2091,7 +1612,7 @@ endmodule
                 .with_max_conflicts(1 << 30)
                 .with_max_fuzz_rounds(1 << 20)
                 .with_max_aig_nodes(1 << 30);
-            for engine in [Engine::Auto, Engine::Portfolio, Engine::Simulation] {
+            for engine in [Engine::Auto, Engine::Simulation] {
                 let v = Verifier {
                     depth: 6,
                     engine,
@@ -2140,8 +1661,7 @@ endmodule
     #[test]
     fn sampling_deduplicates_repeated_stimuli() {
         // One 1-bit input over 2 cycles: only 4 distinct stimuli exist, so
-        // 32 sampled runs must collapse below 32 (no repeated runs across
-        // threads).
+        // 32 sampled runs must collapse below 32 (no repeated runs).
         let src = "module n(input clk, input rst_n, input d, output reg q);\n\
              always @(posedge clk or negedge rst_n) begin\n\
                if (!rst_n) q <= 1'b0; else q <= d;\n\
@@ -2168,7 +1688,8 @@ endmodule
     #[test]
     fn parallel_sampling_is_deterministic() {
         // Wide inputs force the random path; a bug that fires on nearly
-        // every stimulus exercises the lowest-index-wins merge.
+        // every stimulus must report the same (first) counterexample on
+        // every run.
         let src = r#"
 module wsum(input clk, input rst_n, input [9:0] a, output reg [9:0] s);
   always @(posedge clk or negedge rst_n) begin
@@ -2188,7 +1709,7 @@ endmodule
         };
         let a = v.check(&d).expect("a");
         let b = v.check(&d).expect("b");
-        assert_eq!(a, b, "parallel merge must be deterministic");
+        assert_eq!(a, b, "sampling must be deterministic");
         assert!(a.is_failure());
     }
 }

@@ -11,16 +11,12 @@
 //! valid regression gate: any drift in a counter is a real semantic
 //! change in what the system computed, never scheduler noise.
 //!
-//! Two caveats are part of the contract:
-//!
-//! * **Compile counters need a warm compile cache under concurrency.**
-//!   The process-wide design cache compiles outside its shard lock, so
-//!   racing workers may compile the same design more than once. With the
-//!   cache pre-warmed every lookup is a deterministic hit; the perf
-//!   harness does exactly that before its concurrent serve legs.
-//! * **No `Engine::Portfolio`.** Losing racers do timing-dependent
-//!   amounts of work before cancellation lands; the canonical ladder
-//!   (Auto/Symbolic/Simulation/Fuzz) is deterministic.
+//! One caveat is part of the contract: **compile counters need a warm
+//! compile cache under concurrency.** The process-wide design cache
+//! compiles outside its shard lock, so racing workers may compile the
+//! same design more than once. With the cache pre-warmed every lookup is
+//! a deterministic hit; the perf harness does exactly that before its
+//! concurrent serve legs.
 //!
 //! The counters are captured through the existing [`TraceSink`] plumbing
 //! — paths instrumented against [`NoTrace`](crate::NoTrace) still

@@ -188,31 +188,3 @@ fn all_panic_plans_cannot_take_the_service_down() {
         }
     }
 }
-
-#[test]
-fn portfolio_chaos_terminates_with_full_result_vectors() {
-    silence_injected_panics();
-    // No bit-identity claims here — portfolio racing under faults is
-    // timing-dependent by design. The contract is weaker: termination,
-    // a full result vector, and untargeted jobs still intact.
-    let batch = jobs(Engine::Portfolio);
-    let clean = run(1, None, &batch);
-    for seed in [4, 8] {
-        let plan = FaultPlan {
-            rate_per_1024: 256,
-            ..FaultPlan::new(seed)
-        };
-        for workers in [1, 8] {
-            let out = run(workers, Some(plan), &batch);
-            assert_eq!(out.len(), batch.len());
-            for (i, job) in batch.iter().enumerate() {
-                if !plan.is_victim(job.key().fault_salt()) {
-                    assert_eq!(
-                        out[i], clean[i],
-                        "seed {seed}, {workers} workers, job {i}: untargeted portfolio job diverged"
-                    );
-                }
-            }
-        }
-    }
-}
