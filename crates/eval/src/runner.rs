@@ -18,7 +18,10 @@ use asv_datagen::dataset::{LengthBin, SvaBugEntry};
 use asv_mutation::BugCategory;
 use asv_serve::{ServeOptions, VerifyJob, VerifyService};
 use asv_sva::bmc::Verifier;
+use asv_verilog::Design;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Evaluation protocol parameters (paper: n = 20, k ∈ {1, 5}, temp 0.2).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -202,20 +205,29 @@ pub fn evaluate_with_service(
     service: &VerifyService,
 ) -> EvalRun {
     // Phase 1 (sequential, cheap): sample responses, compile candidates,
-    // and turn every non-trivial one into a job.
+    // and turn every non-trivial one into a job. The samples of a case
+    // often repeat a patch (most non-golden responses on the pipeline
+    // benchmark do), so each distinct patch compiles once; its responses
+    // still submit one job each, sharing the design.
     let mut jobs: Vec<VerifyJob> = Vec::new();
     let mut per_case: Vec<(usize, Vec<Resolution>)> = Vec::with_capacity(benchmark.len());
     for (i, bc) in benchmark.iter().enumerate() {
         let task = RepairTask::from(&bc.entry);
         let responses: Vec<Response> =
             engine.respond(&task, config.n, config.seed.wrapping_add(i as u64));
+        let mut compiled: HashMap<&str, Option<Arc<Design>>> = HashMap::new();
         let mut resolutions = Vec::with_capacity(responses.len());
         for r in &responses {
             if r.patched_source == bc.entry.golden_source {
                 resolutions.push(Resolution::Golden);
-            } else if let Ok(design) = asv_verilog::compile(&r.patched_source) {
+                continue;
+            }
+            let design = compiled
+                .entry(&r.patched_source)
+                .or_insert_with(|| asv_verilog::compile(&r.patched_source).ok().map(Arc::new));
+            if let Some(design) = design {
                 resolutions.push(Resolution::Pending(jobs.len()));
-                jobs.push(VerifyJob::new(design, verifier));
+                jobs.push(VerifyJob::new(Arc::clone(design), verifier));
             } else {
                 resolutions.push(Resolution::NoCompile);
             }
@@ -298,6 +310,27 @@ mod tests {
                 evaluate_with_service(&engine, &bench, &cfg, Judge::fast().verifier(), &service);
             assert_eq!(run, sequential, "worker count {workers} changed results");
         }
+    }
+
+    #[test]
+    fn every_compiling_non_golden_response_submits_one_job() {
+        let (bench, cfg) = small_eval();
+        let engine = Solver::new(base_model(&[]));
+        let service = VerifyService::with_workers(2);
+        evaluate_with_service(&engine, &bench, &cfg, Judge::fast().verifier(), &service);
+        let mut expected = 0;
+        for (i, bc) in bench.iter().enumerate() {
+            let task = RepairTask::from(&bc.entry);
+            for r in engine.respond(&task, cfg.n, cfg.seed.wrapping_add(i as u64)) {
+                if r.patched_source != bc.entry.golden_source
+                    && asv_verilog::compile(&r.patched_source).is_ok()
+                {
+                    expected += 1;
+                }
+            }
+        }
+        assert!(expected > 0, "the benchmark must exercise the verifier");
+        assert_eq!(service.stats().submitted, expected);
     }
 
     #[test]

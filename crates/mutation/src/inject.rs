@@ -271,7 +271,8 @@ pub fn apply(design: &Design, mutation: &Mutation) -> Result<Injection, InjectEr
     })
 }
 
-fn apply_edit(e: &Expr, edit: &Edit) -> Option<Expr> {
+/// `e` with `edit` applied, or `None` when the edit does not fit the node.
+pub(crate) fn apply_edit(e: &Expr, edit: &Edit) -> Option<Expr> {
     match (e, edit) {
         (Expr::Binary { lhs, rhs, span, .. }, Edit::SwapBinOp(op)) => Some(Expr::Binary {
             op: *op,

@@ -6,8 +6,19 @@
 //! cover all same-width peers, negation insert/remove invert each other),
 //! so the golden fix is always reachable as one candidate. The model's job
 //! — like the paper's LLM — is to *rank* it first.
+//!
+//! [`candidates`] renders the buggy module once, with the byte range of
+//! every site ([`render_module_marked`]). Each candidate then re-renders
+//! only its edited site and splices that text into the one rendering. This
+//! is exact, and gives what [`crate::inject::apply`] gives, because an
+//! expression renders on one line from its own subtree and its parent's
+//! precedence alone. Edits below a slot root keep the node kind (operator,
+//! literal, identifier), so a unary parent keeps its parentheses; the
+//! kind-changing edits (`Negate`, `Unnegate`) only touch slot roots, which
+//! render at precedence 0.
 
-use crate::inject::{apply, enumerate, InjectError, Mutation};
+use crate::inject::{apply_edit, enumerate, Mutation};
+use asv_verilog::pretty::{render_expr_at, render_module_marked};
 use asv_verilog::sema::Design;
 use serde::{Deserialize, Serialize};
 
@@ -40,25 +51,48 @@ impl Candidate {
 
 /// Enumerates all repair candidates of a buggy design.
 ///
-/// Candidates that fail to apply (no-ops after rendering) are skipped.
+/// Edits that leave the rendering unchanged (no-ops) are skipped.
 /// Order is deterministic.
 pub fn candidates(buggy: &Design) -> Vec<Candidate> {
+    let module = &buggy.module;
+    // One rendering; `marks[i]` is site `i` (the printer and the site
+    // walker share one pre-order).
+    let (source, marks) = render_module_marked(module);
+    debug_assert!(
+        crate::sites::collect_sites(module)
+            .iter()
+            .map(|s| &s.expr)
+            .eq(marks.iter().map(|m| m.node)),
+        "marks and sites disagree"
+    );
+    let mut line_starts = vec![0];
+    line_starts.extend(source.match_indices('\n').map(|(i, _)| i + 1));
     let mut out = Vec::new();
     for (id, m) in enumerate(buggy).into_iter().enumerate() {
-        match apply(buggy, &m) {
-            Ok(inj) => out.push(Candidate {
-                id,
-                line_no: inj.line_no,
-                // Applying an edit to the buggy design: the "golden" side
-                // of the diff is the buggy source here.
-                old_line: inj.fixed_line,
-                new_line: inj.buggy_line,
-                patched_source: inj.buggy_source,
-                mutation: m,
-            }),
-            Err(InjectError::NoOp) => {}
-            Err(_) => {}
+        let Some(mark) = marks.get(m.site_id) else {
+            continue;
+        };
+        let Some(edited) = apply_edit(mark.node, &m.edit) else {
+            continue;
+        };
+        let text = render_expr_at(&edited, mark.prec);
+        let (start, end) = (mark.start, mark.end);
+        if text == source[start..end] {
+            continue;
         }
+        // The site lies on one line: `line` (0-based) spans `ls..le`.
+        let line = line_starts.partition_point(|&s| s <= start) - 1;
+        let ls = line_starts[line];
+        let le = line_starts.get(line + 1).map_or(source.len(), |n| n - 1);
+        let new_line = [&source[ls..start], &text, &source[end..le]].concat();
+        out.push(Candidate {
+            id,
+            line_no: line as u32 + 1,
+            old_line: source[ls..le].trim().to_string(),
+            new_line: new_line.trim().to_string(),
+            patched_source: [&source[..start], &text, &source[end..]].concat(),
+            mutation: m,
+        });
     }
     out
 }

@@ -32,18 +32,16 @@ pub struct SiteInfo {
 /// Collects every mutation-eligible expression site of a module.
 pub fn collect_sites(module: &Module) -> Vec<SiteInfo> {
     let mut sites = Vec::new();
-    let mut next_id = 0usize;
     let mut m = module.clone();
     visit_module(&mut m, &mut |ctx, expr| {
         sites.push(SiteInfo {
-            id: next_id,
+            id: sites.len(),
             expr: expr.clone(),
             in_condition: ctx.in_condition,
             stmt_span: ctx.stmt_span,
-            assigned: ctx.assigned.clone(),
+            assigned: ctx.assigned.to_vec(),
             is_root: ctx.is_root,
         });
-        next_id += 1;
     });
     sites
 }
@@ -72,31 +70,31 @@ pub fn transform_site(
 }
 
 /// Visitor context.
-pub(crate) struct Ctx {
-    pub in_condition: bool,
-    pub stmt_span: Span,
-    pub assigned: Vec<String>,
-    pub is_root: bool,
+#[derive(Clone, Copy)]
+struct Ctx<'s> {
+    in_condition: bool,
+    stmt_span: Span,
+    assigned: &'s [String],
+    is_root: bool,
 }
 
 /// Walks all design-logic expressions of a module in deterministic
 /// pre-order, invoking `cb` with a mutable reference to each node.
-pub(crate) fn visit_module(module: &mut Module, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
+fn visit_module(module: &mut Module, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
     // Two passes over items would break determinism; a single ordered pass.
     for item in &mut module.items {
         match item {
             Item::Assign(a) => {
+                let assigned = target_names(&a.lhs);
                 let ctx = Ctx {
                     in_condition: false,
                     stmt_span: a.span,
-                    assigned: a.lhs.target_names().iter().map(|s| s.to_string()).collect(),
+                    assigned: &assigned,
                     is_root: true,
                 };
-                visit_expr(&mut a.rhs, &ctx, cb);
+                visit_expr(&mut a.rhs, ctx, cb);
             }
-            Item::Always(al) => {
-                visit_stmt(&mut al.body, cb);
-            }
+            Item::Always(al) => visit_stmt(&mut al.body, cb),
             // Properties, assertions, parameters, nets, initial blocks are
             // never mutated.
             _ => {}
@@ -127,10 +125,10 @@ fn visit_stmt(s: &mut Stmt, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
             let ctx = Ctx {
                 in_condition: true,
                 stmt_span: *span,
-                assigned,
+                assigned: &assigned,
                 is_root: true,
             };
-            visit_expr(cond, &ctx, cb);
+            visit_expr(cond, ctx, cb);
             visit_stmt(then_branch, cb);
             if let Some(e) = else_branch {
                 visit_stmt(e, cb);
@@ -155,19 +153,17 @@ fn visit_stmt(s: &mut Stmt, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
             let ctx = Ctx {
                 in_condition: true,
                 stmt_span: *span,
-                assigned: assigned.clone(),
+                assigned: &assigned,
                 is_root: true,
             };
-            visit_expr(scrutinee, &ctx, cb);
+            visit_expr(scrutinee, ctx, cb);
             for arm in arms {
                 let actx = Ctx {
-                    in_condition: true,
                     stmt_span: arm.span,
-                    assigned: assigned.clone(),
-                    is_root: true,
+                    ..ctx
                 };
                 for label in &mut arm.labels {
-                    visit_expr(label, &actx, cb);
+                    visit_expr(label, actx, cb);
                 }
                 visit_stmt(&mut arm.body, cb);
             }
@@ -176,32 +172,31 @@ fn visit_stmt(s: &mut Stmt, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
             }
         }
         Stmt::Assign { lhs, rhs, span, .. } => {
+            let assigned = target_names(lhs);
             let ctx = Ctx {
                 in_condition: false,
                 stmt_span: *span,
-                assigned: lhs.target_names().iter().map(|s| s.to_string()).collect(),
+                assigned: &assigned,
                 is_root: true,
             };
-            visit_expr(rhs, &ctx, cb);
+            visit_expr(rhs, ctx, cb);
         }
         Stmt::Empty { .. } => {}
     }
 }
 
 /// Pre-order expression walk. Ternary conditions flip `in_condition`.
-fn visit_expr(e: &mut Expr, ctx: &Ctx, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
-    cb(ctx, e);
+fn visit_expr(e: &mut Expr, ctx: Ctx, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
+    cb(&ctx, e);
     let child = Ctx {
-        in_condition: ctx.in_condition,
-        stmt_span: ctx.stmt_span,
-        assigned: ctx.assigned.clone(),
         is_root: false,
+        ..ctx
     };
     match e {
-        Expr::Unary { operand, .. } => visit_expr(operand, &child, cb),
+        Expr::Unary { operand, .. } => visit_expr(operand, child, cb),
         Expr::Binary { lhs, rhs, .. } => {
-            visit_expr(lhs, &child, cb);
-            visit_expr(rhs, &child, cb);
+            visit_expr(lhs, child, cb);
+            visit_expr(rhs, child, cb);
         }
         Expr::Ternary {
             cond,
@@ -211,31 +206,33 @@ fn visit_expr(e: &mut Expr, ctx: &Ctx, cb: &mut impl FnMut(&Ctx, &mut Expr)) {
         } => {
             let cond_ctx = Ctx {
                 in_condition: true,
-                stmt_span: ctx.stmt_span,
-                assigned: ctx.assigned.clone(),
-                is_root: false,
+                ..child
             };
-            visit_expr(cond, &cond_ctx, cb);
-            visit_expr(then_expr, &child, cb);
-            visit_expr(else_expr, &child, cb);
+            visit_expr(cond, cond_ctx, cb);
+            visit_expr(then_expr, child, cb);
+            visit_expr(else_expr, child, cb);
         }
         Expr::Concat { parts, .. } => {
             for p in parts {
-                visit_expr(p, &child, cb);
+                visit_expr(p, child, cb);
             }
         }
         Expr::Repeat { count, value, .. } => {
-            visit_expr(count, &child, cb);
-            visit_expr(value, &child, cb);
+            visit_expr(count, child, cb);
+            visit_expr(value, child, cb);
         }
-        Expr::Bit { index, .. } => visit_expr(index, &child, cb),
+        Expr::Bit { index, .. } => visit_expr(index, child, cb),
         Expr::SysCall { args, .. } => {
             for a in args {
-                visit_expr(a, &child, cb);
+                visit_expr(a, child, cb);
             }
         }
         Expr::Number { .. } | Expr::Ident { .. } | Expr::Part { .. } => {}
     }
+}
+
+fn target_names(lhs: &LValue) -> Vec<String> {
+    lhs.target_names().iter().map(|s| s.to_string()).collect()
 }
 
 fn collect_targets(s: &Stmt, out: &mut Vec<String>) {

@@ -5,6 +5,14 @@
 //! "buggy line / fixed line" pair used for training and evaluation is
 //! well-defined. Round-tripping (`parse ∘ render ∘ parse`) is validated by
 //! property tests in the crate root.
+//!
+//! Every expression renders on one line, and its text depends only on its
+//! own subtree and the precedence its parent renders it under (a node
+//! writes its own parentheses; only a unary parent brackets its operand,
+//! and it decides by the operand's node kind). [`render_module_marked`]
+//! records where each design-logic expression landed, so a caller can
+//! splice a re-rendered node ([`render_expr_at`]) into one rendering
+//! instead of re-rendering the whole module per edit.
 
 use crate::ast::*;
 use std::fmt::Write;
@@ -23,21 +31,57 @@ pub fn render_unit(unit: &SourceUnit) -> String {
 
 /// Renders one module with 2-space indentation.
 pub fn render_module(m: &Module) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::<()>::default();
     p.module(m);
     p.out
 }
 
+/// Where one design-logic expression node landed in
+/// [`render_module_marked`]'s output.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExprMark<'a> {
+    /// The node (its address identifies it within the module).
+    pub node: &'a Expr,
+    /// Byte offset of the node's first character.
+    pub start: usize,
+    /// Byte offset one past the node's last character.
+    pub end: usize,
+    /// The precedence the parent rendered the node under: re-rendering
+    /// the node with [`render_expr_at`] at this precedence reproduces
+    /// `out[start..end]`.
+    pub prec: u8,
+}
+
+/// Renders one module exactly as [`render_module`] does, and records an
+/// [`ExprMark`] for every design-logic expression node: continuous-assign
+/// right-hand sides, `if` conditions, case scrutinees and labels and
+/// procedural right-hand sides, with all their sub-expressions (never
+/// parameters, lvalues, initial blocks or assertions).
+///
+/// Marks come in pre-order, statement by statement in source order: the
+/// order in which the mutation crate numbers its sites.
+pub fn render_module_marked(m: &Module) -> (String, Vec<ExprMark<'_>>) {
+    let mut p = Printer::<Vec<ExprMark>>::default();
+    p.module(m);
+    (p.out, p.marks)
+}
+
 /// Renders a single expression (used in diffs, CoT text and candidate fixes).
 pub fn render_expr(e: &Expr) -> String {
+    render_expr_at(e, 0)
+}
+
+/// Renders a single expression as a parent of precedence `prec` would
+/// (see [`ExprMark::prec`]).
+pub fn render_expr_at(e: &Expr, prec: u8) -> String {
     let mut s = String::new();
-    expr(&mut s, e, 0);
+    expr(&mut s, &mut (), e, prec);
     s
 }
 
 /// Renders a single statement at indent level 0, without a trailing newline.
 pub fn render_stmt(s: &Stmt) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::<()>::default();
     p.stmt(s, 0);
     p.out.trim_end().to_string()
 }
@@ -55,22 +99,57 @@ pub fn render_lvalue(lv: &LValue) -> String {
     }
 }
 
-struct Printer {
-    out: String,
+/// Observes the byte range of every expression node as it is written.
+trait Recorder<'a> {
+    /// `e` starts at `start` under parent precedence `prec`; returns the
+    /// token [`Recorder::close`] receives.
+    fn open(&mut self, e: &'a Expr, start: usize, prec: u8) -> usize;
+    /// The node of `token` ends at `end`.
+    fn close(&mut self, token: usize, end: usize);
 }
 
-impl Printer {
-    fn new() -> Self {
-        Printer { out: String::new() }
+/// The plain rendering records nothing.
+impl Recorder<'_> for () {
+    fn open(&mut self, _: &Expr, _: usize, _: u8) -> usize {
+        0
     }
+    fn close(&mut self, _: usize, _: usize) {}
+}
 
+impl<'a> Recorder<'a> for Vec<ExprMark<'a>> {
+    fn open(&mut self, node: &'a Expr, start: usize, prec: u8) -> usize {
+        self.push(ExprMark {
+            node,
+            start,
+            end: start,
+            prec,
+        });
+        self.len() - 1
+    }
+    fn close(&mut self, token: usize, end: usize) {
+        self[token].end = end;
+    }
+}
+
+#[derive(Default)]
+struct Printer<R> {
+    out: String,
+    marks: R,
+}
+
+impl<'a, R: Recorder<'a>> Printer<R> {
     fn indent(&mut self, level: usize) {
         for _ in 0..level {
             self.out.push_str("  ");
         }
     }
 
-    fn module(&mut self, m: &Module) {
+    /// Writes a design-logic expression straight into the output.
+    fn logic(&mut self, e: &'a Expr) {
+        expr(&mut self.out, &mut self.marks, e, 0);
+    }
+
+    fn module(&mut self, m: &'a Module) {
         let params: Vec<&ParamDecl> = m
             .items
             .iter()
@@ -121,7 +200,7 @@ impl Printer {
         self.out.push_str("endmodule\n");
     }
 
-    fn item(&mut self, item: &Item) {
+    fn item(&mut self, item: &'a Item) {
         match item {
             Item::Net(n) => {
                 self.indent(1);
@@ -145,13 +224,9 @@ impl Printer {
             }
             Item::Assign(a) => {
                 self.indent(1);
-                writeln!(
-                    self.out,
-                    "assign {} = {};",
-                    render_lvalue(&a.lhs),
-                    render_expr(&a.rhs)
-                )
-                .expect("write to string");
+                write!(self.out, "assign {} = ", render_lvalue(&a.lhs)).expect("write to string");
+                self.logic(&a.rhs);
+                self.out.push_str(";\n");
             }
             Item::Always(a) => {
                 self.indent(1);
@@ -190,9 +265,12 @@ impl Printer {
                 self.stmt_inline(&a.body, 1);
             }
             Item::Initial(i) => {
-                self.indent(1);
-                self.out.push_str("initial ");
-                self.stmt_inline(&i.body, 1);
+                // Not design logic: rendered by an unmarked printer.
+                let mut p = Printer::<()>::default();
+                p.indent(1);
+                p.out.push_str("initial ");
+                p.stmt_inline(&i.body, 1);
+                self.out.push_str(&p.out);
             }
             Item::Property(p) => {
                 self.indent(1);
@@ -256,7 +334,7 @@ impl Printer {
 
     /// Prints a statement as the body of `always`/`initial`/`if` where the
     /// keyword and a space have already been emitted.
-    fn stmt_inline(&mut self, s: &Stmt, level: usize) {
+    fn stmt_inline(&mut self, s: &'a Stmt, level: usize) {
         match s {
             Stmt::Block { stmts, .. } => {
                 self.out.push_str("begin\n");
@@ -273,7 +351,7 @@ impl Printer {
         }
     }
 
-    fn stmt(&mut self, s: &Stmt, level: usize) {
+    fn stmt(&mut self, s: &'a Stmt, level: usize) {
         match s {
             Stmt::Block { stmts, .. } => {
                 self.indent(level);
@@ -291,24 +369,7 @@ impl Printer {
                 ..
             } => {
                 self.indent(level);
-                write!(self.out, "if ({}) ", render_expr(cond)).expect("write to string");
-                self.branch_body(then_branch, level);
-                if let Some(e) = else_branch {
-                    self.indent(level);
-                    if let Stmt::If { .. } = **e {
-                        self.out.push_str("else ");
-                        // `else if` chains stay on one logical construct.
-                        let rendered = {
-                            let mut sub = Printer::new();
-                            sub.stmt(e, level);
-                            sub.out
-                        };
-                        self.out.push_str(rendered.trim_start());
-                    } else {
-                        self.out.push_str("else ");
-                        self.branch_body(e, level);
-                    }
-                }
+                self.if_chain(cond, then_branch, else_branch.as_deref(), level);
             }
             Stmt::Case {
                 kind,
@@ -323,11 +384,18 @@ impl Printer {
                     CaseKind::Casez => "casez",
                     CaseKind::Casex => "casex",
                 };
-                writeln!(self.out, "{kw} ({})", render_expr(scrutinee)).expect("write");
+                write!(self.out, "{kw} (").expect("write to string");
+                self.logic(scrutinee);
+                self.out.push_str(")\n");
                 for arm in arms {
                     self.indent(level + 1);
-                    let labels: Vec<String> = arm.labels.iter().map(render_expr).collect();
-                    write!(self.out, "{}: ", labels.join(", ")).expect("write to string");
+                    for (i, label) in arm.labels.iter().enumerate() {
+                        if i > 0 {
+                            self.out.push_str(", ");
+                        }
+                        self.logic(label);
+                    }
+                    self.out.push_str(": ");
                     self.branch_body(&arm.body, level + 1);
                 }
                 if let Some(d) = default {
@@ -345,14 +413,7 @@ impl Printer {
                 ..
             } => {
                 self.indent(level);
-                writeln!(
-                    self.out,
-                    "{} {} {};",
-                    render_lvalue(lhs),
-                    if *nonblocking { "<=" } else { "=" },
-                    render_expr(rhs)
-                )
-                .expect("write to string");
+                self.assign(lhs, rhs, *nonblocking);
             }
             Stmt::Empty { .. } => {
                 self.indent(level);
@@ -361,8 +422,46 @@ impl Printer {
         }
     }
 
+    /// Prints an `if` statement from its keyword on. An `else if` chain
+    /// stays one flat construct: each nested `if` follows its `else`.
+    fn if_chain(
+        &mut self,
+        cond: &'a Expr,
+        then_branch: &'a Stmt,
+        else_branch: Option<&'a Stmt>,
+        level: usize,
+    ) {
+        self.out.push_str("if (");
+        self.logic(cond);
+        self.out.push_str(") ");
+        self.branch_body(then_branch, level);
+        if let Some(e) = else_branch {
+            self.indent(level);
+            self.out.push_str("else ");
+            if let Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+                ..
+            } = e
+            {
+                self.if_chain(cond, then_branch, else_branch.as_deref(), level);
+            } else {
+                self.branch_body(e, level);
+            }
+        }
+    }
+
+    /// Prints a procedural assignment (indentation already emitted).
+    fn assign(&mut self, lhs: &LValue, rhs: &'a Expr, nonblocking: bool) {
+        let op = if nonblocking { "<=" } else { "=" };
+        write!(self.out, "{} {op} ", render_lvalue(lhs)).expect("write to string");
+        self.logic(rhs);
+        self.out.push_str(";\n");
+    }
+
     /// Prints the body of an if-arm or case-arm, keyword already emitted.
-    fn branch_body(&mut self, s: &Stmt, level: usize) {
+    fn branch_body(&mut self, s: &'a Stmt, level: usize) {
         match s {
             Stmt::Block { stmts, .. } => {
                 self.out.push_str("begin\n");
@@ -377,16 +476,7 @@ impl Printer {
                 rhs,
                 nonblocking,
                 ..
-            } => {
-                writeln!(
-                    self.out,
-                    "{} {} {};",
-                    render_lvalue(lhs),
-                    if *nonblocking { "<=" } else { "=" },
-                    render_expr(rhs)
-                )
-                .expect("write to string");
-            }
+            } => self.assign(lhs, rhs, *nonblocking),
             Stmt::Empty { .. } => self.out.push_str(";\n"),
             other => {
                 self.out.push('\n');
@@ -436,7 +526,8 @@ pub fn render_seq(s: &SeqExpr) -> String {
     }
 }
 
-fn expr(out: &mut String, e: &Expr, parent_prec: u8) {
+fn expr<'a>(out: &mut String, rec: &mut impl Recorder<'a>, e: &'a Expr, parent_prec: u8) {
+    let token = rec.open(e, out.len(), parent_prec);
     match e {
         Expr::Number {
             value, width, base, ..
@@ -463,11 +554,11 @@ fn expr(out: &mut String, e: &Expr, parent_prec: u8) {
             // Parenthesise non-primary operands for unambiguous reading.
             match **operand {
                 Expr::Number { .. } | Expr::Ident { .. } | Expr::Bit { .. } | Expr::Part { .. } => {
-                    expr(out, operand, 13)
+                    expr(out, rec, operand, 13)
                 }
                 _ => {
                     out.push('(');
-                    expr(out, operand, 0);
+                    expr(out, rec, operand, 0);
                     out.push(')');
                 }
             }
@@ -478,9 +569,9 @@ fn expr(out: &mut String, e: &Expr, parent_prec: u8) {
             if need_parens {
                 out.push('(');
             }
-            expr(out, lhs, prec);
+            expr(out, rec, lhs, prec);
             let _ = write!(out, " {} ", op.as_str());
-            expr(out, rhs, prec + 1);
+            expr(out, rec, rhs, prec + 1);
             if need_parens {
                 out.push(')');
             }
@@ -495,11 +586,11 @@ fn expr(out: &mut String, e: &Expr, parent_prec: u8) {
             if need_parens {
                 out.push('(');
             }
-            expr(out, cond, 1);
+            expr(out, rec, cond, 1);
             out.push_str(" ? ");
-            expr(out, then_expr, 0);
+            expr(out, rec, then_expr, 0);
             out.push_str(" : ");
-            expr(out, else_expr, 0);
+            expr(out, rec, else_expr, 0);
             if need_parens {
                 out.push(')');
             }
@@ -510,21 +601,21 @@ fn expr(out: &mut String, e: &Expr, parent_prec: u8) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                expr(out, p, 0);
+                expr(out, rec, p, 0);
             }
             out.push('}');
         }
         Expr::Repeat { count, value, .. } => {
             out.push('{');
-            expr(out, count, 13);
+            expr(out, rec, count, 13);
             out.push('{');
-            expr(out, value, 0);
+            expr(out, rec, value, 0);
             out.push_str("}}");
         }
         Expr::Bit { name, index, .. } => {
             out.push_str(name);
             out.push('[');
-            expr(out, index, 0);
+            expr(out, rec, index, 0);
             out.push(']');
         }
         Expr::Part { name, range, .. } => {
@@ -538,12 +629,13 @@ fn expr(out: &mut String, e: &Expr, parent_prec: u8) {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    expr(out, a, 0);
+                    expr(out, rec, a, 0);
                 }
                 out.push(')');
             }
         }
     }
+    rec.close(token, out.len());
 }
 
 #[cfg(test)]
@@ -558,6 +650,21 @@ mod tests {
             .unwrap_or_else(|e| panic!("reparse failed: {e}\n--- rendered ---\n{rendered}"));
         let rerendered = render_unit(&reparsed);
         assert_eq!(rendered, rerendered, "render is not a fixpoint");
+        for m in unit.modules.iter().chain(&reparsed.modules) {
+            check_marks(m);
+        }
+    }
+
+    /// The marked rendering is the plain one, and every mark re-renders
+    /// to exactly its byte range, on one line.
+    fn check_marks(m: &Module) {
+        let (out, marks) = render_module_marked(m);
+        assert_eq!(out, render_module(m), "marking changed the rendering");
+        for mark in &marks {
+            let text = &out[mark.start..mark.end];
+            assert!(!text.is_empty() && !text.contains('\n'), "mark {mark:?}");
+            assert_eq!(render_expr_at(mark.node, mark.prec), text, "mark {mark:?}");
+        }
     }
 
     #[test]
@@ -623,6 +730,62 @@ mod tests {
         let s = render_module(&unit.modules[0]);
         assert!(s.contains("else if (b)"), "got: {s}");
         roundtrip(src);
+    }
+
+    #[test]
+    fn marks_cover_design_logic_only() {
+        let src = "module m #(parameter W = 4) (input clk, input s, input [3:0] a,\n\
+            input [3:0] b, output reg [7:0] y, output [3:0] z);\n\
+            localparam K = W + 1;\n\
+            reg [3:0] t;\n\
+            initial t = 4'd0;\n\
+            assign z = s ? a + b : ~(a & b);\n\
+            always @(posedge clk) begin\n\
+              if (!(a & b)) y[a[1]] <= {a, b};\n\
+              else if (s) y <= {2{a[3:0]}};\n\
+              else case (a - 1) 4'd0, 4'd1: y <= b * (a - b); default: ; endcase\n\
+            end\n\
+            property p; @(posedge clk) s |-> ##1 y != 8'd0; endproperty\n\
+            assert property (p);\nendmodule";
+        roundtrip(src);
+        let unit = parse(src).expect("parse ok");
+        let (out, marks) = render_module_marked(&unit.modules[0]);
+        // Roots in source order: the assign RHS, the if condition, the
+        // else-if condition and its RHS, the case scrutinee, both labels
+        // and the arm RHS. Parameters, the lvalue index, the initial
+        // block and the property are never marked.
+        // In pre-order a root is a mark that starts past every earlier one.
+        let mut covered = 0;
+        let mut roots = Vec::new();
+        for m in &marks {
+            if m.start >= covered {
+                assert_eq!(m.prec, 0, "roots render at precedence 0");
+                roots.push(&out[m.start..m.end]);
+                covered = m.end;
+            }
+        }
+        assert_eq!(
+            roots,
+            [
+                "s ? a + b : ~(a & b)",
+                "!(a & b)",
+                "{a, b}",
+                "s",
+                "{2{a[3:0]}}",
+                "a - 1",
+                "4'd0",
+                "4'd1",
+                "b * (a - b)",
+            ],
+            "got:\n{out}"
+        );
+        for forbidden in ["W + 1", "4'd0;", "8'd0"] {
+            let at = out.find(forbidden).expect("rendered");
+            assert!(
+                marks.iter().all(|m| m.end <= at || m.start > at),
+                "`{forbidden}` was marked"
+            );
+        }
     }
 
     #[test]
