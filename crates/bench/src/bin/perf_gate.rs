@@ -1,196 +1,51 @@
-//! The performance regression gate: compares the current
-//! `BENCH_<label>.json` against a baseline and exits nonzero with a
-//! readable delta table when something regressed.
+//! The counter regression gate: compares a current `BENCH_<label>.json`
+//! against a baseline and exits nonzero with a readable delta table
+//! when any counter drifted.
 //!
 //! ```text
-//! perf_gate [CURRENT.json] [--baseline FILE] [--dir DIR]
-//!           [--counters-only] [--threshold PCT]
-//! perf_gate --schema-check FILE
+//! perf_gate CURRENT.json BASELINE.json
 //! ```
 //!
-//! Defaults: the current report is the newest `BENCH_*.json` (by
-//! `created_unix`) in `--dir` (default `.`); the baseline is the newest
-//! *older* report with the **same scale**. Counters are gated on exact
-//! equality — they are deterministic, so any drift is a real cost
-//! change or a determinism break. Wall time gets a relative threshold
-//! (default 30%) and is skipped entirely under `--counters-only`, the
-//! CI mode. `--schema-check` just parses/validates one report.
+//! Counters are gated on exact equality — they are deterministic, so
+//! any drift is a real cost change or a determinism break. Both files
+//! go through the same schema validator.
 //!
-//! Exit codes: 0 pass, 1 regression or incomparable reports, 2 usage /
-//! I/O / malformed report.
+//! Exit codes: 0 pass, 1 counter drift or a baseline workload missing,
+//! 2 usage / I/O / malformed report.
 
 use asv_bench::perf::{compare, BenchReport};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: perf_gate [CURRENT.json] [--baseline FILE] [--dir DIR] \
-         [--counters-only] [--threshold PCT] | perf_gate --schema-check FILE"
-    );
-    ExitCode::from(2)
-}
-
-fn load(path: &Path) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    BenchReport::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Every parseable `BENCH_*.json` in `dir`, oldest first (ties broken
-/// by file name so the order is deterministic).
-fn discover(dir: &Path) -> Result<Vec<(PathBuf, BenchReport)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !name.starts_with("BENCH_") || !name.ends_with(".json") {
-            continue;
-        }
-        match load(&entry.path()) {
-            Ok(report) => found.push((entry.path(), report)),
-            Err(e) => eprintln!("perf_gate: skipping {e}"),
-        }
-    }
-    found.sort_by(|a, b| {
-        (a.1.created_unix, a.0.as_os_str()).cmp(&(b.1.created_unix, b.0.as_os_str()))
-    });
-    Ok(found)
+fn load(path: &str) -> Result<BenchReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    BenchReport::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn main() -> ExitCode {
-    let mut current_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut dir = PathBuf::from(".");
-    let mut counters_only = false;
-    let mut threshold = 30.0f64;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--schema-check" => {
-                let Some(path) = args.next() else {
-                    return usage();
-                };
-                return match load(Path::new(&path)) {
-                    Ok(report) => {
-                        println!(
-                            "{path}: schema ok (label `{}`, scale `{}`, {} workloads)",
-                            report.label,
-                            report.scale,
-                            report.workloads.len()
-                        );
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("perf_gate: {e}");
-                        ExitCode::from(2)
-                    }
-                };
-            }
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--dir" => match args.next() {
-                Some(d) => dir = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--counters-only" => counters_only = true,
-            "--threshold" => match args.next().and_then(|p| p.parse().ok()) {
-                Some(p) => threshold = p,
-                None => return usage(),
-            },
-            p if !p.starts_with('-') && current_path.is_none() => {
-                current_path = Some(PathBuf::from(p));
-            }
-            _ => return usage(),
-        }
-    }
-
-    let (current_path, current) = match current_path {
-        Some(path) => match load(&path) {
-            Ok(report) => (path, report),
-            Err(e) => {
-                eprintln!("perf_gate: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            let found = match discover(&dir) {
-                Ok(found) => found,
-                Err(e) => {
-                    eprintln!("perf_gate: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match found.into_iter().next_back() {
-                Some(newest) => newest,
-                None => {
-                    eprintln!("perf_gate: no BENCH_*.json in {}", dir.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [current_path, baseline_path] = args.as_slice() else {
+        eprintln!("usage: perf_gate CURRENT.json BASELINE.json");
+        return ExitCode::from(2);
     };
-
-    let (baseline_path, baseline) = match baseline_path {
-        Some(path) => match load(&path) {
-            Ok(report) => (path, report),
-            Err(e) => {
-                eprintln!("perf_gate: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            let found = match discover(&dir) {
-                Ok(found) => found,
-                Err(e) => {
-                    eprintln!("perf_gate: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let prior = found.into_iter().rfind(|(path, report)| {
-                *path != current_path
-                    && report.scale == current.scale
-                    && report.created_unix <= current.created_unix
-            });
-            match prior {
-                Some(prior) => prior,
-                None => {
-                    eprintln!(
-                        "perf_gate: no prior `{}`-scale baseline for {} — nothing to gate",
-                        current.scale,
-                        current_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
+    let (current, baseline) = match (load(current_path), load(baseline_path)) {
+        (Ok(current), Ok(baseline)) => (current, baseline),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("perf_gate: {e}");
+            return ExitCode::from(2);
         }
     };
 
     println!(
-        "perf_gate: {} (label `{}`) vs baseline {} (label `{}`), scale `{}`{}",
-        current_path.display(),
-        current.label,
-        baseline_path.display(),
-        baseline.label,
-        current.scale,
-        if counters_only {
-            " [counters only]"
-        } else {
-            ""
-        }
+        "perf_gate: {current_path} (label `{}`) vs baseline {baseline_path} (label `{}`)",
+        current.label, baseline.label
     );
-    let outcome = compare(&baseline, &current, counters_only, threshold);
+    let outcome = compare(&baseline, &current);
     print!("{}", outcome.table());
     if outcome.passed() {
-        println!("PASS: no perf regression");
+        println!("PASS: counters identical");
         ExitCode::SUCCESS
     } else {
-        println!("FAIL: performance regression (see table above)");
+        println!("FAIL: counter regression (see table above)");
         ExitCode::FAILURE
     }
 }

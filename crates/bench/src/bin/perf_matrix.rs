@@ -1,32 +1,27 @@
-//! Runs the performance-observatory workload matrix and writes a
+//! Runs the performance-observatory counter matrix and writes a
 //! schema-versioned `BENCH_<label>.json` report (see
-//! [`asv_bench::perf`]), plus a hot-span table synthesized from the
-//! cold serve leg's trace.
+//! [`asv_bench::perf`]).
 //!
 //! ```text
-//! perf_matrix [--label L] [--out DIR] [--runs N] [--quick]
+//! perf_matrix [--label L] [--out DIR]
 //! ```
 //!
-//! `ASV_SCALE=quick` (or `--quick`) shrinks the design pool and drops
-//! to one wall repetition — the CI smoke configuration. The report is
-//! consumed by `perf_gate`.
+//! The report holds deterministic work counters only and is consumed by
+//! `perf_gate`. Wall time is measured by the repository benchmark
+//! (`perfbench/`); the hot-span table is printed by `trace_report`.
 
-use asv_bench::perf::{run_matrix, MatrixConfig};
-use asv_bench::Scale;
-use asv_trace::Profile;
+use asv_bench::perf::run_matrix;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: perf_matrix [--label L] [--out DIR] [--runs N] [--quick]");
+    eprintln!("usage: perf_matrix [--label L] [--out DIR]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut label = "local".to_string();
     let mut out_dir = PathBuf::from(".");
-    let mut quick = Scale::from_env() == Scale::Quick;
-    let mut runs: Option<usize> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,11 +34,6 @@ fn main() -> ExitCode {
                 Some(d) => out_dir = PathBuf::from(d),
                 None => return usage(),
             },
-            "--runs" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => runs = Some(n),
-                None => return usage(),
-            },
-            "--quick" => quick = true,
             _ => return usage(),
         }
     }
@@ -56,51 +46,20 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let cfg = MatrixConfig {
-        label,
-        quick,
-        runs: runs.unwrap_or(if quick { 1 } else { 3 }),
-    };
-    eprintln!(
-        "[perf] matrix: scale={} runs={} label={}",
-        cfg.scale(),
-        cfg.runs,
-        cfg.label
-    );
-    let (report, cold_events) = run_matrix(&cfg);
+    eprintln!("[perf] matrix: label={label}");
+    let report = run_matrix(&label);
 
+    println!("== Perf matrix (counters) ==");
     println!(
-        "== Perf matrix ({} scale, min of {} runs) ==",
-        report.scale, cfg.runs
+        "{:<22} {:>12} {:>12} {:>12} {:>12}",
+        "workload", "ops", "conflicts", "fuzz_rounds", "memo_hits"
     );
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "wall_min_ms", "ops", "conflicts", "fuzz_rounds", "memo_hits"
-    );
-    for (name, w) in &report.workloads {
+    for (name, c) in &report.workloads {
         println!(
-            "{:<12} {:>12.2} {:>12} {:>12} {:>12} {:>12}",
-            name,
-            w.wall_min_ns() as f64 / 1e6,
-            w.counters.ops,
-            w.counters.conflicts,
-            w.counters.fuzz_rounds,
-            w.counters.memo_hits
+            "{:<22} {:>12} {:>12} {:>12} {:>12}",
+            name, c.ops, c.conflicts, c.fuzz_rounds, c.memo_hits
         );
-        if let Some((p50, p90, p99)) = w.job_ns {
-            println!(
-                "{:<12} job latency p50={:.2}ms p90={:.2}ms p99={:.2}ms",
-                "",
-                p50 as f64 / 1e6,
-                p90 as f64 / 1e6,
-                p99 as f64 / 1e6
-            );
-        }
     }
-
-    let profile = Profile::from_events(&cold_events);
-    println!();
-    print!("{}", profile.table(10));
 
     let _ = std::fs::create_dir_all(&out_dir);
     let path = out_dir.join(format!("BENCH_{}.json", report.label));

@@ -17,12 +17,14 @@
 //! | `ablation_dpo`      | DPO β / stabiliser ablation |
 //! | `ablation_features` | localisation-feature ablation |
 //!
-//! Scale is controlled by `ASV_SCALE` ∈ {`quick`, `default`, `paper`}.
+//! Scale is controlled by `ASV_SCALE` ∈ {`quick`, `default`, `paper`}
+//! (unset means `default`; any other value is an error).
 //!
 //! Beyond the paper artefacts, [`perf`] is the performance observatory:
-//! a deterministic workload matrix emitting `BENCH_<label>.json`
-//! reports (`perf_matrix`) that a regression gate compares with exact
-//! counter equality (`perf_gate`).
+//! a deterministic counter matrix emitting `BENCH_<label>.json` reports
+//! (`perf_matrix`) that a regression gate compares with exact counter
+//! equality (`perf_gate`). Wall time is measured by the repository
+//! benchmark in `perfbench/`, not here.
 
 pub mod perf;
 
@@ -44,13 +46,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `ASV_SCALE` (default: `default`).
-    pub fn from_env() -> Self {
-        match std::env::var("ASV_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Default,
+    /// Maps an `ASV_SCALE` value to its scale: unset is `Default`;
+    /// `quick`, `default` and `paper` name their scales; anything else
+    /// is an error naming the accepted values.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("default") => Ok(Scale::Default),
+            Some("quick") => Ok(Scale::Quick),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!(
+                "ASV_SCALE=`{other}` is not a scale; expected `quick`, `default` or `paper`"
+            )),
         }
+    }
+
+    /// Reads `ASV_SCALE` through [`Scale::parse`]. An unknown value
+    /// prints the error and exits the process with status 2.
+    pub fn from_env() -> Self {
+        let value = std::env::var_os("ASV_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// The pipeline configuration for this scale.
@@ -156,5 +173,23 @@ impl Experiment {
             Solver::with_name(self.sft_model.clone(), "SFT Model"),
             Solver::with_name(self.assert_solver.clone(), "AssertSolver"),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Scale;
+
+    #[test]
+    fn scale_parse_accepts_only_known_values() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("default")), Ok(Scale::Default));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("paper")), Ok(Scale::Paper));
+        for bad in ["qiuck", "Quick", ""] {
+            let err = Scale::parse(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+            assert!(err.contains("`quick`, `default` or `paper`"), "{err}");
+        }
     }
 }

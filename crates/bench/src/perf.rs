@@ -1,16 +1,14 @@
-//! Performance observatory: a deterministic workload matrix, a
+//! Performance observatory: a deterministic counter matrix, a
 //! schema-versioned bench report (`BENCH_<label>.json`), and the
 //! regression-gate comparison the `perf_gate` binary drives.
 //!
-//! Two signals per workload, with very different contracts:
-//!
-//! * **Wall time** — min-of-N nanoseconds, machine-dependent and noisy.
-//!   Gated only with a generous relative threshold.
-//! * **[`CostCounters`]** — deterministic work counters folded from a
-//!   traced run ([`asv_trace::cost`]). Machine-independent and
-//!   bit-identical across worker counts, so the gate compares them with
-//!   **exact equality**: any drift is either a real cost change or a
-//!   determinism break, and both deserve a red build.
+//! Each workload records one signal: the [`CostCounters`] work vector
+//! folded from a traced run ([`asv_trace::cost`]). Counters are
+//! machine-independent and bit-identical across worker counts, so the
+//! gate compares them with **exact equality**: any drift is either a
+//! real cost change or a determinism break, and both deserve a red
+//! build. Wall time is not measured here; the repository benchmark
+//! (`perfbench/`) owns it.
 //!
 //! Determinism caveat the matrix is built around (see `asv_trace::cost`
 //! module docs): the counter legs pre-warm the process-wide compile
@@ -30,17 +28,18 @@ use asv_sim::{
 };
 use asv_sva::bmc::{Engine, Verifier};
 use asv_sva::monitor::CompiledChecker;
-use asv_trace::{CostCounters, Event, SpanKind, Tracer};
+use asv_trace::{CostCounters, Event, Tracer};
 use asv_verilog::Design;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Bench report schema version; bump on any incompatible layout change.
 /// v2: added the lane-batched simulation legs (`simulate_64x_scalar`,
 /// `simulate_64x_batch`, `fuzz_throughput_batch`) and the
 /// `sim_batches`/`sim_lanes_*` counter fields.
-pub const SCHEMA_VERSION: u64 = 2;
+/// v3: counters only — dropped `scale`, `created_unix`, `wall_ns`,
+/// `wall_min_ns` and the `job_ns_*` latency quantiles.
+pub const SCHEMA_VERSION: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON
@@ -348,37 +347,13 @@ pub mod json {
 // Report model
 // ---------------------------------------------------------------------------
 
-/// One workload's measurements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkloadResult {
-    /// Wall time of every repetition, nanoseconds.
-    pub wall_ns: Vec<u64>,
-    /// Deterministic work counters from the traced leg.
-    pub counters: CostCounters,
-    /// Per-job latency quantiles `(p50, p90, p99)` in nanoseconds, for
-    /// serve workloads (report-only, never gated).
-    pub job_ns: Option<(u64, u64, u64)>,
-}
-
-impl WorkloadResult {
-    /// The gated wall figure: minimum over repetitions (least noisy).
-    pub fn wall_min_ns(&self) -> u64 {
-        self.wall_ns.iter().copied().min().unwrap_or(0)
-    }
-}
-
-/// A full bench run: the workload matrix plus identifying metadata.
+/// A full matrix run: the counter vector of every workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchReport {
     /// Free-form label (`BENCH_<label>.json`).
     pub label: String,
-    /// `"quick"` / `"default"` / `"paper"` — reports only compare
-    /// within one scale.
-    pub scale: String,
-    /// Unix seconds when the run finished (orders baselines).
-    pub created_unix: u64,
-    /// Results keyed by workload name.
-    pub workloads: BTreeMap<String, WorkloadResult>,
+    /// Deterministic work counters keyed by workload name.
+    pub workloads: BTreeMap<String, CostCounters>,
 }
 
 impl BenchReport {
@@ -391,23 +366,10 @@ impl BenchReport {
             "  \"label\": \"{}\",\n",
             json::escape(&self.label)
         ));
-        out.push_str(&format!(
-            "  \"scale\": \"{}\",\n",
-            json::escape(&self.scale)
-        ));
-        out.push_str(&format!("  \"created_unix\": {},\n", self.created_unix));
         out.push_str("  \"workloads\": {\n");
-        for (i, (name, w)) in self.workloads.iter().enumerate() {
+        for (i, (name, counters)) in self.workloads.iter().enumerate() {
             out.push_str(&format!("    \"{}\": {{\n", json::escape(name)));
-            let walls: Vec<String> = w.wall_ns.iter().map(u64::to_string).collect();
-            out.push_str(&format!("      \"wall_ns\": [{}],\n", walls.join(", ")));
-            out.push_str(&format!("      \"wall_min_ns\": {},\n", w.wall_min_ns()));
-            if let Some((p50, p90, p99)) = w.job_ns {
-                out.push_str(&format!("      \"job_ns_p50\": {p50},\n"));
-                out.push_str(&format!("      \"job_ns_p90\": {p90},\n"));
-                out.push_str(&format!("      \"job_ns_p99\": {p99},\n"));
-            }
-            out.push_str(&format!("      \"counters\": {}\n", w.counters.to_json()));
+            out.push_str(&format!("      \"counters\": {}\n", counters.to_json()));
             out.push_str(if i + 1 < self.workloads.len() {
                 "    },\n"
             } else {
@@ -418,9 +380,9 @@ impl BenchReport {
         out
     }
 
-    /// Parses and validates a report: schema version, required members,
-    /// the full counter vector per workload, and `wall_min_ns`
-    /// consistency. Errors name the offending member.
+    /// Parses and validates a report: schema version, required members
+    /// and the full counter vector per workload. Errors name the
+    /// offending member.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
         let root = json::parse(text)?;
         let schema = root
@@ -437,43 +399,12 @@ impl BenchReport {
             .and_then(json::Value::as_str)
             .ok_or("missing `label`")?
             .to_string();
-        let scale = root
-            .get("scale")
-            .and_then(json::Value::as_str)
-            .ok_or("missing `scale`")?
-            .to_string();
-        let created_unix = root
-            .get("created_unix")
-            .and_then(json::Value::as_u64)
-            .ok_or("missing `created_unix`")?;
         let mut workloads = BTreeMap::new();
         let members = root
             .get("workloads")
             .and_then(json::Value::as_obj)
             .ok_or("missing `workloads` object")?;
         for (name, w) in members {
-            let wall_ns: Vec<u64> = w
-                .get("wall_ns")
-                .and_then(json::Value::as_arr)
-                .ok_or_else(|| format!("workload `{name}`: missing `wall_ns`"))?
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| format!("workload `{name}`: non-integer wall sample"))
-                })
-                .collect::<Result<_, _>>()?;
-            if wall_ns.is_empty() {
-                return Err(format!("workload `{name}`: empty `wall_ns`"));
-            }
-            let stated_min = w
-                .get("wall_min_ns")
-                .and_then(json::Value::as_u64)
-                .ok_or_else(|| format!("workload `{name}`: missing `wall_min_ns`"))?;
-            if Some(stated_min) != wall_ns.iter().copied().min() {
-                return Err(format!(
-                    "workload `{name}`: `wall_min_ns` inconsistent with `wall_ns`"
-                ));
-            }
             let counters_obj = w
                 .get("counters")
                 .ok_or_else(|| format!("workload `{name}`: missing `counters`"))?;
@@ -491,31 +422,9 @@ impl BenchReport {
                     missing.unwrap_or_default()
                 )
             })?;
-            let q = |key: &str| w.get(key).and_then(json::Value::as_u64);
-            let job_ns = match (q("job_ns_p50"), q("job_ns_p90"), q("job_ns_p99")) {
-                (Some(p50), Some(p90), Some(p99)) => Some((p50, p90, p99)),
-                (None, None, None) => None,
-                _ => {
-                    return Err(format!(
-                        "workload `{name}`: partial job_ns quantiles (need p50+p90+p99)"
-                    ))
-                }
-            };
-            workloads.insert(
-                name.clone(),
-                WorkloadResult {
-                    wall_ns,
-                    counters,
-                    job_ns,
-                },
-            );
+            workloads.insert(name.clone(), counters);
         }
-        Ok(BenchReport {
-            label,
-            scale,
-            created_unix,
-            workloads,
-        })
+        Ok(BenchReport { label, workloads })
     }
 }
 
@@ -523,31 +432,8 @@ impl BenchReport {
 // Workload matrix
 // ---------------------------------------------------------------------------
 
-/// Matrix knobs, derived from `ASV_SCALE` and CLI flags by `perf_matrix`.
-#[derive(Debug, Clone)]
-pub struct MatrixConfig {
-    /// Report label (file becomes `BENCH_<label>.json`).
-    pub label: String,
-    /// Quick scale: smaller design pool, fewer cycles, 1 wall rep.
-    pub quick: bool,
-    /// Wall-time repetitions per workload (min is kept).
-    pub runs: usize,
-}
-
-impl MatrixConfig {
-    /// The scale string recorded in (and matched across) reports.
-    pub fn scale(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else {
-            "default"
-        }
-    }
-}
-
-/// Golden designs plus a bug-injected pool, one (quick) or two sizes
-/// per archetype, from the same deterministic corpus seed the trace
-/// demo uses.
+/// Golden designs plus a bug-injected pool, two sizes per archetype,
+/// from the same deterministic corpus seed the trace demo uses.
 pub struct DesignPool {
     /// One golden design per corpus entry.
     pub golden: Vec<Arc<Design>>,
@@ -555,10 +441,9 @@ pub struct DesignPool {
     pub pool: Vec<Arc<Design>>,
 }
 
-/// Builds the benchmark design pool. Fully deterministic in `quick`.
-pub fn design_pool(quick: bool) -> DesignPool {
-    let per = if quick { 1 } else { 2 };
-    let designs = CorpusGen::new(0x0B5E7).generate(per * Archetype::ALL.len());
+/// Builds the benchmark design pool. Fully deterministic.
+pub fn design_pool() -> DesignPool {
+    let designs = CorpusGen::new(0x0B5E7).generate(2 * Archetype::ALL.len());
     let mut golden_out = Vec::new();
     let mut pool = Vec::new();
     for gd in &designs {
@@ -592,18 +477,17 @@ pub fn bench_verifier(engine: Engine) -> Verifier {
     }
 }
 
-/// The serve workload: a mixed batch over golden + buggy designs with
-/// engines rotating through every [`Engine`].
-pub fn mixed_batch(quick: bool) -> Vec<VerifyJob> {
-    let pool = design_pool(quick).pool;
+/// The serve workload: a mixed 64-job batch over golden + buggy designs
+/// with engines rotating through every [`Engine`].
+pub fn mixed_batch() -> Vec<VerifyJob> {
+    let pool = design_pool().pool;
     let engines = [
         Engine::Auto,
         Engine::Symbolic,
         Engine::Simulation,
         Engine::Fuzz,
     ];
-    let n = if quick { 32 } else { 64 };
-    (0..n)
+    (0..64)
         .map(|i| {
             VerifyJob::new(
                 Arc::clone(&pool[i % pool.len()]),
@@ -644,121 +528,49 @@ pub fn batch_counters(jobs: &[VerifyJob], workers: usize) -> (CostCounters, Vec<
     (CostCounters::from_events(&events), events)
 }
 
-/// `(p50, p90, p99)` of `Job`-span durations, nearest-rank.
-pub fn job_latency_quantiles(events: &[Event]) -> Option<(u64, u64, u64)> {
-    let mut durs: Vec<u64> = events
-        .iter()
-        .filter(|e| e.kind == SpanKind::Job)
-        .map(|e| e.dur_ns)
-        .collect();
-    if durs.is_empty() {
-        return None;
-    }
-    durs.sort_unstable();
-    let rank = |q: f64| {
-        let r = ((q * durs.len() as f64).ceil() as usize).clamp(1, durs.len());
-        durs[r - 1]
-    };
-    Some((rank(0.50), rank(0.90), rank(0.99)))
-}
-
-fn time_runs(runs: usize, mut f: impl FnMut()) -> Vec<u64> {
-    (0..runs.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect()
-}
-
-fn workload_compile(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
-    let wall_ns = time_runs(runs, || {
-        for d in golden {
-            std::hint::black_box(CompiledDesign::compile_opt(d, OptLevel::Full));
-        }
-    });
+fn workload_compile(golden: &[Arc<Design>]) -> CostCounters {
     let tracer = Tracer::new();
     let handle = tracer.handle();
     for d in golden {
         std::hint::black_box(CompiledDesign::compile_traced(d, OptLevel::Full, &handle));
     }
-    WorkloadResult {
-        wall_ns,
-        counters: CostCounters::from_events(&tracer.drain()),
-        job_ns: None,
-    }
+    CostCounters::from_events(&tracer.drain())
 }
 
-fn workload_simulate(golden: &[Arc<Design>], runs: usize, cycles: usize) -> WorkloadResult {
-    let compiled: Vec<Arc<CompiledDesign>> = golden
+fn compile_all(golden: &[Arc<Design>]) -> Vec<Arc<CompiledDesign>> {
+    golden
         .iter()
         .map(|d| Arc::new(CompiledDesign::compile_opt(d, OptLevel::Full)))
-        .collect();
-    let wall_ns = time_runs(runs, || {
-        for c in &compiled {
-            let mut sim = Simulator::from_compiled(Arc::clone(c));
-            sim.run(cycles, &[]).expect("bench design simulates");
-        }
-    });
+        .collect()
+}
+
+fn workload_simulate(golden: &[Arc<Design>], cycles: usize) -> CostCounters {
     let mut counters = CostCounters::default();
-    for c in &compiled {
-        let mut sim = Simulator::from_compiled(Arc::clone(c));
+    for c in compile_all(golden) {
+        let mut sim = Simulator::from_compiled(c);
         sim.enable_op_count();
         sim.run(cycles, &[]).expect("bench design simulates");
         counters.ops = counters.ops.saturating_add(sim.ops_executed());
     }
-    WorkloadResult {
-        wall_ns,
-        counters,
-        job_ns: None,
-    }
+    counters
 }
 
-/// 64 seeded random stimuli per design for the stimulus-throughput legs
-/// (the "64x" in the workload names).
-fn batch_stimuli(golden: &[Arc<Design>], cycles: usize) -> Vec<Vec<Stimulus>> {
-    golden
-        .iter()
-        .map(|d| {
-            let gen = StimulusGen::new(d);
-            (0..64u64)
-                .map(|i| gen.random_seeded(cycles, 2, 0x64C4 ^ i))
-                .collect()
-        })
-        .collect()
-}
-
-/// Stimulus-throughput workload: the same 64 stimuli per design drained
-/// through [`run_stimulus_group`] at lane width `lanes` (1 = the scalar
-/// fallback loop, reusing one simulator via `restart`). The scalar and
-/// batched legs therefore simulate identical work — their wall-time
-/// ratio *is* the lane speedup, and their `ops` counters must be equal.
-fn workload_simulate_stimuli(
-    golden: &[Arc<Design>],
-    runs: usize,
-    cycles: usize,
-    lanes: usize,
-) -> WorkloadResult {
-    let compiled: Vec<Arc<CompiledDesign>> = golden
-        .iter()
-        .map(|d| Arc::new(CompiledDesign::compile_opt(d, OptLevel::Full)))
-        .collect();
-    let stim_sets = batch_stimuli(golden, cycles);
-    let wall_ns = time_runs(runs, || {
-        for (c, stims) in compiled.iter().zip(&stim_sets) {
-            for group in stims.chunks(lanes) {
-                std::hint::black_box(run_stimulus_group(c, group, lanes, None, false));
-            }
-        }
-    });
-    // Counter leg: per-lane op tallies are scalar-basis (bit-identical
-    // to a scalar run of each stimulus); batch occupancy is a pure
-    // function of the stimulus count and the lane width.
+/// Stimulus-throughput workload: 64 seeded random stimuli per design
+/// (the "64x" in the workload names) drained through
+/// [`run_stimulus_group`] at lane width `lanes` (1 = the scalar
+/// fallback loop). The scalar and batched legs simulate identical work,
+/// so their `ops` counters must be equal. Per-lane op tallies are
+/// scalar-basis; batch occupancy is a pure function of the stimulus
+/// count and the lane width.
+fn workload_simulate_stimuli(golden: &[Arc<Design>], cycles: usize, lanes: usize) -> CostCounters {
     let mut counters = CostCounters::default();
-    for (c, stims) in compiled.iter().zip(&stim_sets) {
+    for (d, c) in golden.iter().zip(compile_all(golden)) {
+        let gen = StimulusGen::new(d);
+        let stims: Vec<Stimulus> = (0..64u64)
+            .map(|i| gen.random_seeded(cycles, 2, 0x64C4 ^ i))
+            .collect();
         for group in stims.chunks(lanes) {
-            for run in run_stimulus_group(c, group, lanes, None, true)
+            for run in run_stimulus_group(&c, group, lanes, None, true)
                 .into_iter()
                 .flatten()
             {
@@ -776,11 +588,7 @@ fn workload_simulate_stimuli(
                 .saturating_add(batches * lanes as u64);
         }
     }
-    WorkloadResult {
-        wall_ns,
-        counters,
-        job_ns: None,
-    }
+    counters
 }
 
 /// The SVA checker bridged into the fuzzer, as `asv-sva` wires it.
@@ -801,23 +609,10 @@ impl AssertionOracle for BenchOracle<'_> {
     }
 }
 
-/// Fuzzer stimulus-throughput workload: a fixed-budget campaign per
-/// golden design with the lane-batched round executor (K = 16), one
-/// worker thread. Counters come from a traced rerun of the same
-/// campaigns (rounds, runs and scheduled-basis batch occupancy).
-fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
-    let compiled: Vec<Arc<CompiledDesign>> = golden
-        .iter()
-        .map(|d| Arc::new(CompiledDesign::compile_opt(d, OptLevel::Full)))
-        .collect();
-    let checkers: Vec<CompiledChecker> = golden
-        .iter()
-        .zip(&compiled)
-        .map(|(d, c)| {
-            let col = |name: &str| c.sig(name).map(|s| s.idx());
-            CompiledChecker::new(&d.module, col).expect("bench design checks")
-        })
-        .collect();
+/// Fuzzer stimulus-throughput workload: a traced fixed-budget campaign
+/// per golden design with the lane-batched round executor (K = 16), one
+/// worker thread (rounds, runs and scheduled-basis batch occupancy).
+fn workload_fuzz_batch(golden: &[Arc<Design>]) -> CostCounters {
     let opts = FuzzOptions {
         cycles: 12,
         reset_cycles: 2,
@@ -826,66 +621,33 @@ fn workload_fuzz_batch(golden: &[Arc<Design>], runs: usize) -> WorkloadResult {
         lanes: 16,
         ..FuzzOptions::default()
     };
-    let campaign = |budget: &Budget| {
-        for (c, checker) in compiled.iter().zip(&checkers) {
-            let oracle = BenchOracle { checker };
-            std::hint::black_box(
-                asv_fuzz::fuzz_budgeted(c, &oracle, &opts, budget).expect("bench fuzz"),
-            );
-        }
-    };
-    let wall_ns = time_runs(runs, || campaign(&Budget::unbounded()));
     let tracer = Tracer::new();
-    campaign(&Budget::unbounded().with_trace(tracer.handle()));
-    WorkloadResult {
-        wall_ns,
-        counters: CostCounters::from_events(&tracer.drain()),
-        job_ns: None,
+    let budget = Budget::unbounded().with_trace(tracer.handle());
+    for (d, c) in golden.iter().zip(compile_all(golden)) {
+        let col = |name: &str| c.sig(name).map(|s| s.idx());
+        let checker = CompiledChecker::new(&d.module, col).expect("bench design checks");
+        let oracle = BenchOracle { checker: &checker };
+        std::hint::black_box(
+            asv_fuzz::fuzz_budgeted(&c, &oracle, &opts, &budget).expect("bench fuzz"),
+        );
     }
+    CostCounters::from_events(&tracer.drain())
 }
 
 /// Single-engine workload: every pool design through one engine on one
 /// worker (isolates the engine's own cost from scheduling).
-fn workload_engine(pool: &[Arc<Design>], engine: Engine, runs: usize) -> WorkloadResult {
+fn workload_engine(pool: &[Arc<Design>], engine: Engine) -> CostCounters {
     let jobs: Vec<VerifyJob> = pool
         .iter()
         .map(|d| VerifyJob::new(Arc::clone(d), bench_verifier(engine)))
         .collect();
-    let wall_ns = time_runs(runs, || {
-        asv_serve::clear_design_cache();
-        let service = VerifyService::new(ServeOptions {
-            workers: 1,
-            ..ServeOptions::default()
-        });
-        std::hint::black_box(service.verify_batch(&jobs));
-    });
-    let (counters, _events) = batch_counters(&jobs, 1);
-    WorkloadResult {
-        wall_ns,
-        counters,
-        job_ns: None,
-    }
+    batch_counters(&jobs, 1).0
 }
 
-/// Cold + warm serve legs over the mixed batch. Cold runs on a fresh
-/// service with cleared caches; warm re-submits the same batch to the
-/// same service (memo tier). Also returns the cold traced events so the
-/// caller can synthesize a profile.
-fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadResult, Vec<Event>) {
-    let mut cold_wall = Vec::new();
-    let mut warm_wall = Vec::new();
-    for _ in 0..runs.max(1) {
-        asv_serve::clear_design_cache();
-        let service = VerifyService::new(ServeOptions::default());
-        let t = Instant::now();
-        std::hint::black_box(service.verify_batch(jobs));
-        cold_wall.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        std::hint::black_box(service.verify_batch(jobs));
-        warm_wall.push(t.elapsed().as_nanos() as u64);
-    }
-
-    // Counter legs: one traced service, cold batch then warm batch.
+/// Cold + warm serve legs over the mixed batch: one traced service with
+/// cleared caches runs the batch cold, then re-submits it warm (memo
+/// tier).
+fn workload_serve(jobs: &[VerifyJob]) -> (CostCounters, CostCounters) {
     asv_serve::clear_design_cache();
     prewarm_compile_cache(jobs);
     let tracer = Tracer::new();
@@ -897,52 +659,35 @@ fn workload_serve(jobs: &[VerifyJob], runs: usize) -> (WorkloadResult, WorkloadR
         0,
         "trace ring overflow would skew counters"
     );
-
-    let cold = WorkloadResult {
-        wall_ns: cold_wall,
-        counters: CostCounters::from_events(&cold_events),
-        job_ns: job_latency_quantiles(&cold_events),
-    };
-    let warm = WorkloadResult {
-        wall_ns: warm_wall,
-        counters: CostCounters::from_events(&warm_events),
-        job_ns: job_latency_quantiles(&warm_events),
-    };
-    (cold, warm, cold_events)
+    (
+        CostCounters::from_events(&cold_events),
+        CostCounters::from_events(&warm_events),
+    )
 }
 
-/// Runs the full matrix and assembles the report. Also returns the cold
-/// serve leg's events for profile synthesis.
-pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
-    let pool = design_pool(cfg.quick);
-    let cycles = if cfg.quick { 64 } else { 256 };
+/// Runs the full matrix and assembles the report.
+pub fn run_matrix(label: &str) -> BenchReport {
+    let pool = design_pool();
     let mut workloads = BTreeMap::new();
 
     eprintln!("[perf] compile: {} designs ...", pool.golden.len());
-    workloads.insert(
-        "compile".to_string(),
-        workload_compile(&pool.golden, cfg.runs),
-    );
+    workloads.insert("compile".to_string(), workload_compile(&pool.golden));
     eprintln!(
-        "[perf] simulate: {} designs x {cycles} cycles ...",
+        "[perf] simulate: {} designs x 256 cycles ...",
         pool.golden.len()
     );
-    workloads.insert(
-        "simulate".to_string(),
-        workload_simulate(&pool.golden, cfg.runs, cycles),
-    );
-    let stim_cycles = if cfg.quick { 16 } else { 64 };
+    workloads.insert("simulate".to_string(), workload_simulate(&pool.golden, 256));
     eprintln!(
-        "[perf] simulate_64x: {} designs x 64 stimuli x {stim_cycles} cycles, scalar + batch ...",
+        "[perf] simulate_64x: {} designs x 64 stimuli x 64 cycles, scalar + batch ...",
         pool.golden.len()
     );
     workloads.insert(
         "simulate_64x_scalar".to_string(),
-        workload_simulate_stimuli(&pool.golden, cfg.runs, stim_cycles, 1),
+        workload_simulate_stimuli(&pool.golden, 64, 1),
     );
     workloads.insert(
         "simulate_64x_batch".to_string(),
-        workload_simulate_stimuli(&pool.golden, cfg.runs, stim_cycles, 16),
+        workload_simulate_stimuli(&pool.golden, 64, 16),
     );
     eprintln!(
         "[perf] fuzz_throughput_batch: {} designs, lane-batched campaigns ...",
@@ -950,50 +695,44 @@ pub fn run_matrix(cfg: &MatrixConfig) -> (BenchReport, Vec<Event>) {
     );
     workloads.insert(
         "fuzz_throughput_batch".to_string(),
-        workload_fuzz_batch(&pool.golden, cfg.runs),
+        workload_fuzz_batch(&pool.golden),
     );
     eprintln!("[perf] symbolic: {} designs ...", pool.pool.len());
     workloads.insert(
         "symbolic".to_string(),
-        workload_engine(&pool.pool, Engine::Symbolic, cfg.runs),
+        workload_engine(&pool.pool, Engine::Symbolic),
     );
     eprintln!("[perf] fuzz: {} designs ...", pool.pool.len());
     workloads.insert(
         "fuzz".to_string(),
-        workload_engine(&pool.pool, Engine::Fuzz, cfg.runs),
+        workload_engine(&pool.pool, Engine::Fuzz),
     );
 
-    let jobs = mixed_batch(cfg.quick);
+    let jobs = mixed_batch();
     eprintln!(
         "[perf] serve: {}-job mixed batch, cold + warm ...",
         jobs.len()
     );
-    let (cold, warm, cold_events) = workload_serve(&jobs, cfg.runs);
+    let (cold, warm) = workload_serve(&jobs);
     workloads.insert("serve_cold".to_string(), cold);
     workloads.insert("serve_warm".to_string(), warm);
 
-    let report = BenchReport {
-        label: cfg.label.clone(),
-        scale: cfg.scale().to_string(),
-        created_unix: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
+    BenchReport {
+        label: label.to_string(),
         workloads,
-    };
-    (report, cold_events)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Regression gate
 // ---------------------------------------------------------------------------
 
-/// One compared metric.
+/// One counter that differs between the reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
     /// Workload name.
     pub workload: String,
-    /// Metric name (`wall_min_ns` or a counter field).
+    /// Counter field (`-` for a workload the baseline lacks).
     pub metric: String,
     /// Baseline value.
     pub baseline: u64,
@@ -1005,18 +744,17 @@ pub struct Delta {
     pub note: String,
 }
 
-/// The gate's verdict: structural errors plus per-metric deltas.
+/// The gate's verdict: structural errors plus per-counter deltas.
 #[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
-    /// Structural failures (scale mismatch, missing workload).
+    /// Structural failures (missing workload).
     pub errors: Vec<String>,
-    /// Per-metric comparisons; only interesting rows are kept (all wall
-    /// rows, plus any counter that drifted).
+    /// Counters that drifted, plus a row per workload new in `current`.
     pub deltas: Vec<Delta>,
 }
 
 impl GateOutcome {
-    /// `true` iff nothing regressed and the reports were comparable.
+    /// `true` iff nothing drifted and no baseline workload is missing.
     pub fn passed(&self) -> bool {
         self.errors.is_empty() && !self.deltas.iter().any(|d| d.regression)
     }
@@ -1054,29 +792,13 @@ impl GateOutcome {
     }
 }
 
-/// Compares `current` against `baseline`.
-///
-/// * Counters: **exact equality** per field — any drift is a
-///   regression (or a determinism break; both should fail).
-/// * Wall: `wall_min_ns` may grow by at most `wall_threshold_pct`
-///   percent (skipped entirely under `counters_only`, the CI mode —
-///   shared runners are too noisy to gate on time).
-/// * Workloads present in the baseline must exist in the current
-///   report; new workloads are reported but never fail.
-pub fn compare(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    counters_only: bool,
-    wall_threshold_pct: f64,
-) -> GateOutcome {
+/// Compares `current` against `baseline` counter by counter with
+/// **exact equality** — any drift is a regression (or a determinism
+/// break; both should fail). Workloads present in the baseline must
+/// exist in the current report; new workloads are reported but never
+/// fail.
+pub fn compare(baseline: &BenchReport, current: &BenchReport) -> GateOutcome {
     let mut out = GateOutcome::default();
-    if baseline.scale != current.scale {
-        out.errors.push(format!(
-            "scale mismatch: baseline `{}` vs current `{}` — not comparable",
-            baseline.scale, current.scale
-        ));
-        return out;
-    }
     for (name, base) in &baseline.workloads {
         let Some(cur) = current.workloads.get(name) else {
             out.errors.push(format!(
@@ -1084,12 +806,7 @@ pub fn compare(
             ));
             continue;
         };
-        for ((field, b), (_, c)) in base
-            .counters
-            .fields()
-            .into_iter()
-            .zip(cur.counters.fields())
-        {
+        for ((field, b), (_, c)) in base.fields().into_iter().zip(cur.fields()) {
             if b != c {
                 out.deltas.push(Delta {
                     workload: name.clone(),
@@ -1100,23 +817,6 @@ pub fn compare(
                     note: "FAIL (counter drift; gate is exact)".to_string(),
                 });
             }
-        }
-        if !counters_only {
-            let b = base.wall_min_ns();
-            let c = cur.wall_min_ns();
-            let regressed = b > 0 && (c as f64 - b as f64) / b as f64 * 100.0 > wall_threshold_pct;
-            out.deltas.push(Delta {
-                workload: name.clone(),
-                metric: "wall_min_ns".to_string(),
-                baseline: b,
-                current: c,
-                regression: regressed,
-                note: if regressed {
-                    format!("FAIL (> +{wall_threshold_pct:.0}%)")
-                } else {
-                    format!("ok (<= +{wall_threshold_pct:.0}%)")
-                },
-            });
         }
     }
     for name in current.workloads.keys() {
@@ -1146,26 +846,16 @@ mod tests {
             ..CostCounters::default()
         };
         let mut workloads = BTreeMap::new();
-        workloads.insert(
-            "compile".to_string(),
-            WorkloadResult {
-                wall_ns: vec![300, 100, 200],
-                counters,
-                job_ns: None,
-            },
-        );
+        workloads.insert("compile".to_string(), counters);
         workloads.insert(
             "serve_cold".to_string(),
-            WorkloadResult {
-                wall_ns: vec![9_000],
-                counters,
-                job_ns: Some((10, 90, 99)),
+            CostCounters {
+                memo_misses: 48,
+                ..counters
             },
         );
         BenchReport {
             label: label.to_string(),
-            scale: "quick".to_string(),
-            created_unix: 1_754_000_000,
             workloads,
         }
     }
@@ -1175,8 +865,6 @@ mod tests {
         let report = sample_report("roundtrip");
         let parsed = BenchReport::parse(&report.to_json()).expect("parses");
         assert_eq!(parsed, report);
-        assert_eq!(parsed.workloads["compile"].wall_min_ns(), 100);
-        assert_eq!(parsed.workloads["serve_cold"].job_ns, Some((10, 90, 99)));
     }
 
     #[test]
@@ -1192,12 +880,39 @@ mod tests {
         text = text.replace("\"ops\":1234,", "");
         let err = BenchReport::parse(&text).unwrap_err();
         assert!(err.contains("missing field `ops`"), "{err}");
-        // wall_min_ns must agree with wall_ns.
-        let text = sample_report("x")
-            .to_json()
-            .replace("\"wall_min_ns\": 100", "\"wall_min_ns\": 1");
-        let err = BenchReport::parse(&text).unwrap_err();
-        assert!(err.contains("wall_min_ns"), "{err}");
+    }
+
+    #[test]
+    fn committed_baseline_parses_with_every_workload() {
+        const SEED: &str = include_str!("../../../BENCH_seed.json");
+        let report = BenchReport::parse(SEED)
+            .expect("BENCH_seed.json is a valid report of the current schema");
+        let names: Vec<&str> = report.workloads.keys().map(String::as_str).collect();
+        assert_eq!(
+            names,
+            [
+                "compile",
+                "fuzz",
+                "fuzz_throughput_batch",
+                "serve_cold",
+                "serve_warm",
+                "simulate",
+                "simulate_64x_batch",
+                "simulate_64x_scalar",
+                "symbolic",
+            ]
+        );
+        // `parse` already demands every counter field; also reject
+        // fields this build does not know, so a stale vector fails here.
+        let root = json::parse(SEED).unwrap();
+        for (name, w) in root.get("workloads").and_then(json::Value::as_obj).unwrap() {
+            let fields = w.get("counters").and_then(json::Value::as_obj).unwrap();
+            assert_eq!(
+                fields.len(),
+                asv_trace::cost::COUNTER_FIELDS,
+                "workload `{name}`"
+            );
+        }
     }
 
     #[test]
@@ -1215,10 +930,9 @@ mod tests {
     #[test]
     fn gate_passes_on_identical_reports() {
         let report = sample_report("same");
-        let outcome = compare(&report, &report, false, 25.0);
+        let outcome = compare(&report, &report);
         assert!(outcome.passed(), "{}", outcome.table());
-        // Wall rows are present even when everything passes.
-        assert!(outcome.deltas.iter().any(|d| d.metric == "wall_min_ns"));
+        assert!(outcome.deltas.is_empty(), "{}", outcome.table());
     }
 
     #[test]
@@ -1226,9 +940,9 @@ mod tests {
         let baseline = sample_report("base");
         for bump in [1i64, -1] {
             let mut current = baseline.clone();
-            let c = &mut current.workloads.get_mut("compile").unwrap().counters;
+            let c = current.workloads.get_mut("compile").unwrap();
             c.conflicts = (c.conflicts as i64 + bump) as u64;
-            let outcome = compare(&baseline, &current, false, 25.0);
+            let outcome = compare(&baseline, &current);
             assert!(!outcome.passed());
             let table = outcome.table();
             assert!(table.contains("conflicts"), "{table}");
@@ -1237,57 +951,17 @@ mod tests {
     }
 
     #[test]
-    fn gate_thresholds_wall_time() {
+    fn gate_flags_missing_workloads() {
         let baseline = sample_report("base");
-        let mut current = baseline.clone();
-        // +20% on a 25% threshold: fine.
-        current.workloads.get_mut("compile").unwrap().wall_ns = vec![120];
-        assert!(compare(&baseline, &current, false, 25.0).passed());
-        // +200%: regression...
-        current.workloads.get_mut("compile").unwrap().wall_ns = vec![300];
-        let outcome = compare(&baseline, &current, false, 25.0);
-        assert!(!outcome.passed());
-        assert!(
-            outcome.table().contains("FAIL (> +25%)"),
-            "{}",
-            outcome.table()
-        );
-        // ...unless the gate runs counters-only (CI mode).
-        assert!(compare(&baseline, &current, true, 25.0).passed());
-    }
-
-    #[test]
-    fn gate_flags_scale_mismatch_and_missing_workloads() {
-        let baseline = sample_report("base");
-        let mut current = baseline.clone();
-        current.scale = "default".to_string();
-        let outcome = compare(&baseline, &current, false, 25.0);
-        assert!(!outcome.passed());
-        assert!(outcome.table().contains("scale mismatch"));
-
         let mut current = baseline.clone();
         current.workloads.remove("compile");
-        let outcome = compare(&baseline, &current, false, 25.0);
+        let outcome = compare(&baseline, &current);
         assert!(!outcome.passed());
         assert!(outcome.table().contains("missing now"));
-    }
 
-    #[test]
-    fn quantiles_are_nearest_rank_over_job_spans() {
-        use asv_trace::Cost;
-        let mk = |dur_ns: u64, kind: SpanKind| Event {
-            name: "serve.job",
-            kind,
-            job: 1,
-            engine: None,
-            start_ns: 0,
-            dur_ns,
-            code: 0,
-            cost: Cost::default(),
-        };
-        let mut events: Vec<Event> = (1..=100).map(|i| mk(i, SpanKind::Job)).collect();
-        events.push(mk(1_000_000, SpanKind::Rung)); // ignored: not a Job span
-        assert_eq!(job_latency_quantiles(&events), Some((50, 90, 99)));
-        assert_eq!(job_latency_quantiles(&[]), None);
+        // A workload only the current report has is listed, not failed.
+        let outcome = compare(&current, &baseline);
+        assert!(outcome.passed(), "{}", outcome.table());
+        assert!(outcome.table().contains("new workload"));
     }
 }

@@ -43,7 +43,7 @@ fn assert_identical_at_more_workers(jobs: &[VerifyJob], reference: &CostCounters
 #[test]
 fn counters_bit_identical_across_workers_and_reruns() {
     let _turn = serial();
-    let jobs = mixed_batch(false);
+    let jobs = mixed_batch();
     assert_eq!(jobs.len(), 64, "the contract is stated over a 64-job batch");
 
     let (reference, events) = batch_counters(&jobs, 1);
